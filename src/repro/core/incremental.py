@@ -29,11 +29,17 @@ from repro.stats.normal import Normal
 
 @dataclass(frozen=True)
 class UpdateStats:
-    """Work accounting for one incremental update."""
+    """Work accounting for one incremental update.
+
+    ``restored`` counts gates whose TOPs an edit put back from the undo
+    record of :class:`repro.core.incremental_spsta.IncrementalSpsta`
+    instead of recomputing them (a revert of the previous edit).
+    """
 
     recomputed: int
     skipped: int
     cone_size: int
+    restored: int = 0
 
 
 class IncrementalSsta:

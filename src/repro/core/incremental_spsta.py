@@ -26,12 +26,21 @@ equality, so stopping cannot hide a real change: the repaired state is
 bit-identical to a full pass for every algebra.  A positive tolerance
 trades that guarantee for a cheaper cone (documented approximation).
 
+Optimization loops spend much of their time undoing moves, so every edit
+keeps a one-level undo record: the override map before the edit and the
+prior TOPs of every gate the edit changed.  An edit that returns the
+override map to the recorded one (an exact :class:`Normal` comparison)
+is a revert: the recorded TOPs go back in place and no gate is
+recomputed.  TOPs are a pure function of the override map and the state
+equals a full pass, so a restore is as bit-exact as a recompute.
+
 Usage::
 
     inc = IncrementalSpsta(netlist, CONFIG_I, delay_model, MomentAlgebra())
     inc.tops[net]                       # same TOPs as run_spsta
     stats = inc.set_delay("G42", Normal(0.8, 0.04))
     stats.recomputed, stats.skipped     # work accounting
+    inc.clear_delay("G42").restored     # a revert restores, > 0
     inc.result().report(net, "rise")    # ordinary SpstaResult view
 """
 
@@ -104,6 +113,10 @@ class IncrementalSpsta(Generic[D]):
         validate_parity_fanins(netlist, self._parity_cap)
         self._overrides: Dict[str, Normal] = {}
         self._model = _OverrideDelays(delay_model, self._overrides)
+        #: (override map before the last edit, prior TOPs of every gate
+        #: that edit changed), or None
+        self._undo: Optional[Tuple[Dict[str, Normal],
+                                   Dict[str, NetTops[D]]]] = None
         self._order = {g.name: i
                        for i, g in enumerate(netlist.combinational_gates)}
         self.prob4: Dict[str, Prob4] = {}
@@ -119,23 +132,28 @@ class IncrementalSpsta(Generic[D]):
         ``full=True`` repairs with a whole-netlist recompute instead of
         the worklist — the full-analysis-per-move pattern the benchmark
         (``benchmarks/test_bench_opt.py``) measures the incremental path
-        against.  Both repairs land in the identical state.
+        against.  Both repairs land in the identical state.  A revert of
+        the previous edit is a restore instead (see the module notes).
+        An edit whose repair raises leaves the state as it was.
         """
         if gate_name not in self._order:
             raise KeyError(f"{gate_name} is not a combinational gate")
+        before = dict(self._overrides)
         self._overrides[gate_name] = delay
-        if full:
-            self.full_recompute()
-            n = len(self._order)
-            return UpdateStats(recomputed=n, skipped=0, cone_size=n)
-        return self.update_gate(gate_name)
+        return self._edit(gate_name, before, full)
 
-    def clear_delay(self, gate_name: str) -> UpdateStats:
+    def clear_delay(self, gate_name: str,
+                    *, full: bool = False) -> UpdateStats:
         """Drop a gate's override (back to the base model) and repair."""
         if gate_name not in self._order:
             raise KeyError(f"{gate_name} is not a combinational gate")
+        before = dict(self._overrides)
         self._overrides.pop(gate_name, None)
-        return self.update_gate(gate_name)
+        return self._edit(gate_name, before, full)
+
+    def has_gate(self, gate_name: str) -> bool:
+        """Whether ``gate_name`` is a combinational gate (an edit target)."""
+        return gate_name in self._order
 
     def effective_delay_model(self) -> DelayModel:
         """A frozen snapshot of base model + current overrides.
@@ -148,6 +166,37 @@ class IncrementalSpsta(Generic[D]):
 
     # -- worklist repair --------------------------------------------------
 
+    def _edit(self, gate_name: str, before: Dict[str, Normal],
+              full: bool) -> UpdateStats:
+        """Bring the TOPs in line with the override map, which was
+        ``before`` until this edit, and record the edit's undo.
+
+        A failed repair puts the TOPs and the override map back as they
+        were, so an edit either lands completely or not at all.
+        """
+        undo, self._undo = self._undo, None
+        if not full and undo is not None and undo[0] == self._overrides:
+            restored = undo[1]
+            self._undo = (before, {name: self.tops[name]
+                                   for name in restored})
+            self.tops.update(restored)
+            return UpdateStats(recomputed=0, skipped=0, cone_size=0,
+                               restored=len(restored))
+        prior: Dict[str, NetTops[D]] = {}
+        try:
+            if full:
+                self.full_recompute()
+                n = len(self._order)
+                return UpdateStats(recomputed=n, skipped=0, cone_size=n)
+            stats = self._repair(gate_name, prior)
+        except BaseException:
+            self.tops.update(prior)
+            self._overrides.clear()
+            self._overrides.update(before)
+            raise
+        self._undo = (before, prior)
+        return stats
+
     def update_gate(self, gate_name: str) -> UpdateStats:
         """Re-evaluate ``gate_name`` and propagate only real changes.
 
@@ -156,10 +205,17 @@ class IncrementalSpsta(Generic[D]):
         pop is O(log cone), and a gate is popped only after all of its
         already-queued fan-in repairs.  A gate whose recomputed TOPs match
         the stored ones (exactly, at the default tolerance 0) does not
-        enqueue its fanouts.
+        enqueue its fanouts.  Drops the undo record.
         """
         if gate_name not in self._order:
             raise KeyError(f"{gate_name} is not a combinational gate")
+        self._undo = None
+        return self._repair(gate_name, {})
+
+    def _repair(self, gate_name: str,
+                prior: Dict[str, NetTops[D]]) -> UpdateStats:
+        """The worklist of :meth:`update_gate`; files the TOPs it
+        overwrites into ``prior``."""
         heap: List[Tuple[int, str]] = [(self._order[gate_name], gate_name)]
         queued: Set[str] = {gate_name}
         cone: Set[str] = set()
@@ -178,6 +234,7 @@ class IncrementalSpsta(Generic[D]):
             if self._unchanged(self.tops[current], new_tops):
                 skipped += 1
                 continue
+            prior[current] = self.tops[current]
             self.tops[current] = new_tops
             for sink in self.netlist.fanouts(current):
                 # skip DFFs (cycle boundary) and already-queued sinks
@@ -192,7 +249,9 @@ class IncrementalSpsta(Generic[D]):
 
         Identical math to ``run_spsta(engine="naive")``: shared launch
         seeding plus the shared per-gate kernel in topological order.
+        Drops the undo record.
         """
+        self._undo = None
         prob4: Dict[str, Prob4] = {}
         tops: Dict[str, NetTops[D]] = {}
         launch_tops(self.netlist, self._stats, self.algebra, prob4, tops)

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.schema import CompiledSchema
+
 try:                                        # pragma: no cover - optional
     import jsonschema                       # type: ignore[import-untyped]
 except ImportError:                         # pragma: no cover
@@ -140,11 +142,14 @@ def _validate_fallback(payload: Dict[str, Any]) -> None:
             _check_number(point, key, positive=True, where=where)
 
 
+_SCENARIO_SWEEP = CompiledSchema(SCENARIO_SWEEP_SCHEMA)
+
+
 def validate_scenario_sweep(payload: Dict[str, Any]) -> None:
     """Raise ``ValueError`` if ``payload`` violates the artifact schema."""
     if jsonschema is not None:
         try:
-            jsonschema.validate(payload, SCENARIO_SWEEP_SCHEMA)
+            _SCENARIO_SWEEP.validate(payload)
         except jsonschema.ValidationError as exc:
             raise ValueError(
                 f"BENCH_scenario_sweep payload invalid: {exc.message}"
@@ -288,6 +293,9 @@ def _validate_hier_fallback(payload: Dict[str, Any]) -> None:
             _hier_fail(f"{where}complete must be true")
 
 
+_HIER_SCALE = CompiledSchema(HIER_SCALE_SCHEMA)
+
+
 def validate_hier_scale(payload: Dict[str, Any]) -> None:
     """Raise ``ValueError`` if ``payload`` violates the artifact schema.
 
@@ -297,7 +305,7 @@ def validate_hier_scale(payload: Dict[str, Any]) -> None:
     """
     if jsonschema is not None:
         try:
-            jsonschema.validate(payload, HIER_SCALE_SCHEMA)
+            _HIER_SCALE.validate(payload)
         except jsonschema.ValidationError as exc:
             raise ValueError(
                 f"BENCH_hier_scale payload invalid: {exc.message}"
@@ -428,11 +436,14 @@ def _validate_opt_fallback(payload: Dict[str, Any]) -> None:
                 _opt_fail(f"{where}{key} must be a number > 0")
 
 
+_OPT_LOOP = CompiledSchema(OPT_LOOP_SCHEMA)
+
+
 def validate_opt_loop(payload: Dict[str, Any]) -> None:
     """Raise ``ValueError`` if ``payload`` violates the artifact schema."""
     if jsonschema is not None:
         try:
-            jsonschema.validate(payload, OPT_LOOP_SCHEMA)
+            _OPT_LOOP.validate(payload)
         except jsonschema.ValidationError as exc:
             raise ValueError(
                 f"BENCH_opt_loop payload invalid: {exc.message}"
@@ -573,11 +584,14 @@ def _validate_bounds_fallback(payload: Dict[str, Any]) -> None:
             _bounds_fail(f"{where}identical must be true")
 
 
+_BOUNDS_PRUNING = CompiledSchema(BOUNDS_PRUNING_SCHEMA)
+
+
 def validate_bounds_pruning(payload: Dict[str, Any]) -> None:
     """Raise ``ValueError`` if ``payload`` violates the artifact schema."""
     if jsonschema is not None:
         try:
-            jsonschema.validate(payload, BOUNDS_PRUNING_SCHEMA)
+            _BOUNDS_PRUNING.validate(payload)
         except jsonschema.ValidationError as exc:
             raise ValueError(
                 f"BENCH_bounds_pruning payload invalid: {exc.message}"

@@ -219,8 +219,14 @@ def optimize_spsta(netlist: Netlist,
     moves: List[Move] = []
 
     def apply(gate: str, size: float) -> int:
-        delay = Normal(base_delay / size, delay_sigma / size)
-        update = inc.set_delay(gate, delay, full=full_mode)
+        # Size 1.0 is the base model, so the override map mirrors
+        # ``sizes`` and every revert of a rejected move is a restore.
+        if size == 1.0:
+            update = inc.clear_delay(gate, full=full_mode)
+        else:
+            update = inc.set_delay(
+                gate, Normal(base_delay / size, delay_sigma / size),
+                full=full_mode)
         state["recomputed"] += update.recomputed
         if verify_moves:
             assert_matches_full(inc)

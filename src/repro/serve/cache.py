@@ -6,43 +6,46 @@ Two tiers with one key space (the fingerprint keys of
 - an in-memory LRU bounded by ``max_entries`` — the warm-query fast
   path, evicting least-recently-used entries past the cap;
 - an optional on-disk tier (``--cache DIR``) so a *restarted* daemon —
-  or a concurrent worker sharing the directory — starts warm.  Writes
-  are atomic and the manifest update runs under the same advisory-lock
-  merge-on-write discipline as :class:`repro.hier.store.
-  InterfaceModelStore`, so concurrent workers cannot drop each other's
-  entries.
+  or a concurrent worker sharing the directory — starts warm.
+
+The disk tier is indexed by file name.  Each entry is one
+self-describing file, ``rs_<tag8>_<key>.json`` (``tag8``: the first 8
+hex digits of sha256 of the circuit name), holding a one-line JSON
+header — the full key, the circuit, the SHA-256 of the payload — and
+then the payload text.  A put writes a uniquely named temp file, fsyncs
+it and renames it into place, so a reader sees a whole entry or none,
+and two writers of one key cannot interleave (the last rename wins, and
+both wrote the same content-addressed payload).  A get opens the key's
+file directly, so entries other workers wrote are visible at once, with
+no shared index to merge or lock.  ``manifest.json`` only marks the
+directory's format.
 
 Entries are stored as the *serialized* result payload and deserialized
 on hit, so a hit returns exactly what ``json`` round-trips — the
 bit-identical-payload guarantee the serve tests pin.  Keys are
 content-addressed (they pin circuit structure, stats, delay, algebra,
 and request shape), so a key hit is always a semantic hit and stale
-entries cannot exist; corruption is survivable (a bad disk entry is
-dropped and reported as a miss).
+entries cannot exist; corruption is survivable (a missing, truncated,
+wrong-key or bad-checksum file is a miss and is unlinked).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import suppress
 import hashlib
 import json
 import logging
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
-
-try:  # advisory manifest locking (POSIX; no-op where unavailable)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
+import tempfile
+from typing import Any, Dict, Optional, Tuple, Union
 
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
-LOCK_NAME = "manifest.lock"
 MANIFEST_FORMAT = "spsta-serve-cache"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 class ServeCacheError(RuntimeError):
@@ -51,13 +54,25 @@ class ServeCacheError(RuntimeError):
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write-temp-then-rename so readers never observe a partial file."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    """Write a uniquely named temp file, fsync it, rename it over
+    ``path``: readers never observe a partial file, and concurrent
+    writers of one path never share a temp file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def _circuit_tag(circuit: str) -> str:
+    """The 8-hex-digit circuit prefix of an entry's file name."""
+    return hashlib.sha256(circuit.encode()).hexdigest()[:8]
 
 
 class ResultCache:
@@ -71,7 +86,6 @@ class ResultCache:
         self.directory = Path(directory) if directory is not None else None
         #: key -> (serialized result text, circuit tag)
         self._memory: "OrderedDict[str, tuple[str, str]]" = OrderedDict()
-        self._disk: Dict[str, Dict[str, str]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -84,29 +98,34 @@ class ResultCache:
 
     @property
     def disk_entries(self) -> int:
-        return len(self._disk)
+        if self.directory is None:
+            return 0
+        return sum(1 for _ in self.directory.glob("rs_*_*.json"))
 
     # -- cache protocol -----------------------------------------------------
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
+    def get(self, key: str,
+            circuit: Optional[str] = None) -> Optional[Dict[str, Any]]:
         """The cached result payload for ``key``, or None (miss).
 
         A memory hit refreshes LRU recency; a disk hit is promoted into
         memory.  Either way the caller receives ``json.loads`` of the
         stored text — byte-identical serialization on every hit.
+        ``circuit`` (the tag the entry was put under) names the disk
+        file directly; without it the file is found by its key suffix.
         """
         entry = self._memory.get(key)
         if entry is not None:
             self._memory.move_to_end(key)
             self.hits += 1
             return json.loads(entry[0])
-        text = self._disk_read(key)
-        if text is not None:
+        found = self._disk_read(key, circuit)
+        if found is not None:
+            text, tag, result = found
             self.hits += 1
             self.disk_hits += 1
-            tag = self._disk[key].get("circuit", "")
             self._remember(key, text, tag)
-            return json.loads(text)
+            return result
         self.misses += 1
         return None
 
@@ -120,30 +139,29 @@ class ResultCache:
         text = json.dumps(result, sort_keys=True)
         self._remember(key, text, circuit)
         if self.directory is not None:
-            self._disk_write(key, text, circuit)
+            payload = text.encode()
+            header = json.dumps({
+                "circuit": circuit, "key": key,
+                "sha256": hashlib.sha256(payload).hexdigest(),
+            }, sort_keys=True).encode()
+            _atomic_write_bytes(self.entry_path(key, circuit),
+                                header + b"\n" + payload)
 
     def invalidate_circuit(self, circuit: str) -> int:
         """Drop every entry tagged with ``circuit``; returns the count."""
-        victims = [key for key, (_, tag) in self._memory.items()
-                   if tag == circuit]
+        victims = {key for key, (_, tag) in self._memory.items()
+                   if tag == circuit}
         for key in victims:
             del self._memory[key]
         if self.directory is not None:
-            disk_victims = [key for key, entry in self._disk.items()
-                            if entry.get("circuit") == circuit]
-            for key in disk_victims:
-                path = self.directory / self._disk[key]["file"]
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            if disk_victims:
-                with self._manifest_lock():
-                    self._merge_disk_manifest(drop=frozenset(disk_victims))
-                    for key in disk_victims:
-                        self._disk.pop(key, None)
-                    self._write_manifest()
-            victims.extend(k for k in disk_victims if k not in victims)
+            for path in self.directory.glob(
+                    f"rs_{_circuit_tag(circuit)}_*.json"):
+                header = _read_header(path)
+                if header is not None and header.get("circuit") != circuit:
+                    continue            # another circuit with this tag
+                _discard(path)
+                if header is not None:
+                    victims.add(str(header.get("key")))
         return len(victims)
 
     # -- memory tier --------------------------------------------------------
@@ -157,9 +175,9 @@ class ResultCache:
 
     # -- disk tier ----------------------------------------------------------
 
-    def entry_path(self, key: str) -> Path:
+    def entry_path(self, key: str, circuit: str = "") -> Path:
         assert self.directory is not None
-        return self.directory / f"rs_{key[:32]}.json"
+        return self.directory / f"rs_{_circuit_tag(circuit)}_{key}.json"
 
     @property
     def manifest_path(self) -> Path:
@@ -167,110 +185,80 @@ class ResultCache:
         return self.directory / MANIFEST_NAME
 
     def _open_disk(self) -> None:
+        """Create or check the format marker.  A version-1 directory (one
+        shared manifest indexing every entry) opens empty: its entries
+        are deleted, never served."""
         assert self.directory is not None
         self.directory.mkdir(parents=True, exist_ok=True)
-        if not self.manifest_path.exists():
-            with self._manifest_lock():
-                self._merge_disk_manifest()
-                self._write_manifest()
-            return
-        manifest = self._read_manifest()
-        if manifest is None:
-            raise ServeCacheError(
-                f"{self.manifest_path} is not a {MANIFEST_FORMAT} "
-                f"manifest — refusing to use the directory as a cache")
-        self._disk = {str(key): dict(entry)
-                      for key, entry in manifest["entries"].items()}
-
-    def _read_manifest(self) -> Optional[Dict[str, Any]]:
         try:
             manifest = json.loads(self.manifest_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return None
-        if (not isinstance(manifest, dict)
-                or manifest.get("format") != MANIFEST_FORMAT
-                or not isinstance(manifest.get("entries"), dict)):
-            return None
-        return manifest
+        except FileNotFoundError:
+            manifest = None
+        except (OSError, ValueError):
+            manifest = {}
+        if manifest is not None:
+            version = (manifest.get("version")
+                       if isinstance(manifest, dict)
+                       and manifest.get("format") == MANIFEST_FORMAT
+                       else None)
+            if version == MANIFEST_VERSION:
+                return
+            if version != 1:
+                raise ServeCacheError(
+                    f"{self.manifest_path} is not a {MANIFEST_FORMAT} "
+                    f"v{MANIFEST_VERSION} manifest — refusing to use the "
+                    f"directory as a cache")
+            entries = manifest.get("entries")
+            for entry in (entries.values()
+                          if isinstance(entries, dict) else ()):
+                name = entry.get("file") if isinstance(entry, dict) else None
+                if isinstance(name, str) and Path(name).name == name:
+                    _discard(self.directory / name)
+            _discard(self.directory / "manifest.lock")
+        marker = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION}
+        _atomic_write_bytes(self.manifest_path,
+                            (json.dumps(marker) + "\n").encode())
 
-    def _disk_read(self, key: str) -> Optional[str]:
+    def _disk_read(self, key: str, circuit: Optional[str]
+                   ) -> Optional[Tuple[str, str, Dict[str, Any]]]:
+        """(payload text, circuit, parsed payload) of the key's file, or
+        None.  A file that fails any check is unlinked."""
         if self.directory is None:
             return None
-        entry = self._disk.get(key)
-        if entry is None:
+        path = (self.entry_path(key, circuit) if circuit is not None
+                else next(self.directory.glob(f"rs_*_{key}.json"), None))
+        if path is None:
             return None
-        path = self.directory / entry["file"]
         try:
-            payload = path.read_bytes()
+            raw = path.read_bytes()
         except OSError:
-            logger.warning("serve-cache payload %s missing; dropping",
-                           path)
-            self._disk_drop(key)
             return None
-        if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
-            logger.warning("serve-cache payload %s fails its checksum; "
-                           "dropping corrupt entry", path)
-            self._disk_drop(key)
-            return None
+        head, _, payload = raw.partition(b"\n")
         try:
-            text = payload.decode()
-            json.loads(text)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            logger.warning("serve-cache payload %s is not JSON; dropping",
-                           path)
-            self._disk_drop(key)
-            return None
-        return text
+            header = json.loads(head)
+            valid = (isinstance(header, dict) and header.get("key") == key
+                     and header.get("sha256")
+                     == hashlib.sha256(payload).hexdigest())
+            if valid:
+                text = payload.decode()
+                return text, str(header.get("circuit", "")), json.loads(text)
+        except ValueError:
+            pass
+        logger.warning("serve-cache entry %s is corrupt; dropping it", path)
+        _discard(path)
+        return None
 
-    def _disk_write(self, key: str, text: str, circuit: str) -> None:
-        path = self.entry_path(key)
-        payload = text.encode()
-        _atomic_write_bytes(path, payload)
-        with self._manifest_lock():
-            self._merge_disk_manifest()
-            self._disk[key] = {
-                "file": path.name,
-                "sha256": hashlib.sha256(payload).hexdigest(),
-                "circuit": circuit,
-            }
-            self._write_manifest()
 
-    def _disk_drop(self, key: str) -> None:
-        with self._manifest_lock():
-            self._merge_disk_manifest(drop=frozenset((key,)))
-            self._disk.pop(key, None)
-            self._write_manifest()
+def _discard(path: Path) -> None:
+    with suppress(OSError):
+        path.unlink()
 
-    @contextmanager
-    def _manifest_lock(self) -> Iterator[None]:
-        """Exclusive advisory lock over manifest read-modify-write."""
-        assert self.directory is not None
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            yield
-            return
-        with open(self.directory / LOCK_NAME, "w") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle, fcntl.LOCK_UN)
 
-    def _merge_disk_manifest(
-            self, drop: frozenset = frozenset()) -> None:
-        """Fold entries another worker persisted into ours (under lock)."""
-        manifest = self._read_manifest()
-        if manifest is None:
-            return
-        for key, entry in manifest["entries"].items():
-            if key not in drop and key not in self._disk:
-                self._disk[str(key)] = dict(entry)
-
-    def _write_manifest(self) -> None:
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "version": MANIFEST_VERSION,
-            "entries": {key: self._disk[key]
-                        for key in sorted(self._disk)},
-        }
-        _atomic_write_bytes(self.manifest_path,
-                            (json.dumps(manifest, indent=2) + "\n").encode())
+def _read_header(path: Path) -> Optional[Dict[str, Any]]:
+    """The header object of an entry file, or None if unreadable."""
+    try:
+        with open(path, "rb") as handle:
+            header = json.loads(handle.readline())
+    except (OSError, ValueError):
+        return None
+    return header if isinstance(header, dict) else None

@@ -13,10 +13,11 @@ re-paying full-analysis cost:
   effective delay model, algebra, request shape), so identical queries
   return bit-identical payloads without touching the engines;
 - a delay ``edit`` re-times only the dirty fan-out cone via the
-  worklist engine (the PR 8 :class:`IncrementalSpsta` — provably
-  bit-exact against a fresh full pass), after which new queries compute
-  against the edited state and *old* cached results remain valid under
-  their own delay fingerprint;
+  worklist engine (:class:`IncrementalSpsta` — provably bit-exact
+  against a fresh full pass), after which new queries compute against
+  the edited state and *old* cached results remain valid under their
+  own delay fingerprint; an edit that reverts the previous one restores
+  the recorded TOPs without re-timing anything;
 - a structural ``edit`` (new ``.bench`` source) falls back to a full
   rebuild of that circuit's state — structure changes invalidate
   everything the fingerprints say they invalidate, and nothing more.
@@ -45,6 +46,7 @@ import threading
 import time
 from typing import IO, Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.delay import DelayModel
 from repro.core.incremental_spsta import IncrementalSpsta
 from repro.core.inputs import InputStats
 from repro.hier.model import AlgebraSpec
@@ -109,10 +111,17 @@ class CircuitSession:
     rebuilds: int = 0
     build_seconds: float = 0.0
     recomputed_gates: int = 0
+    _delay_hash: Tuple[int, str] = field(default=(-1, ""), init=False,
+                                         repr=False)
 
     def delay_hash(self) -> str:
-        """Fingerprint of the *effective* delay state (base + edits)."""
-        return delay_fingerprint(self.inc.effective_delay_model())
+        """Fingerprint of the *effective* delay state (base + edits),
+        computed once per value of ``edits`` (a failed edit changes
+        nothing, see :meth:`IncrementalSpsta.set_delay`)."""
+        if self._delay_hash[0] != self.edits:
+            self._delay_hash = (self.edits, delay_fingerprint(
+                self.inc.effective_delay_model()))
+        return self._delay_hash[1]
 
 
 @dataclass
@@ -149,6 +158,8 @@ class Server:
         self._sessions: Dict[Tuple[str, str, str, str], CircuitSession] = {}
         self._netlists: Dict[str, Netlist] = {}
         self._lint_passed: Dict[Tuple[str, str], bool] = {}
+        #: canonical delay-spec text -> (base delay model, its fingerprint)
+        self._base_delays: Dict[str, Tuple[DelayModel, str]] = {}
         self.requests_served = 0
         self.shutdown_requested = False
         self.session_log: Optional[_SessionLog] = None
@@ -237,7 +248,7 @@ class Server:
         else:
             extra = ("analyze",)
         key = self._cache_key(session, extra)
-        cached = self.cache.get(key)
+        cached = self.cache.get(key, session.circuit)
         if cached is not None:
             return ok_response(request_id, cached, cached=True,
                                seconds=time.perf_counter() - t0)
@@ -304,9 +315,7 @@ class Server:
             raise RequestError(
                 "edit needs a 'gate' (delay edit) or 'bench' "
                 "(structural edit)")
-        if gate not in session.netlist.gates \
-                or gate not in {g.name for g
-                                in session.netlist.combinational_gates}:
+        if not session.inc.has_gate(gate):
             raise RequestError(
                 f"no combinational gate {gate!r} in {session.circuit}",
                 "unknown-gate")
@@ -332,6 +341,7 @@ class Server:
             "retime": {"mode": "incremental",
                        "recomputed": stats.recomputed,
                        "skipped": stats.skipped,
+                       "restored": stats.restored,
                        "cone_size": stats.cone_size,
                        "total_gates":
                            len(session.netlist.combinational_gates),
@@ -428,8 +438,7 @@ class Server:
         algebra_spec = parse_algebra(
             request.get("algebra", self.options.default_algebra),
             request.get("grid", self.options.default_grid))
-        base_delay = parse_delay_model(request.get("delay"))
-        base_delay_hash = delay_fingerprint(base_delay)
+        base_delay, base_delay_hash = self._base_delay(request.get("delay"))
         key = (circuit, config_label, algebra_spec.token(),
                base_delay_hash)
         session = self._sessions.get(key)
@@ -450,6 +459,18 @@ class Server:
             build_seconds=time.perf_counter() - t0)
         self._sessions[key] = session
         return session
+
+    def _base_delay(self, spec: Optional[Mapping[str, Any]]
+                    ) -> Tuple[DelayModel, str]:
+        """The request's base delay model and its fingerprint, parsed
+        and hashed once per distinct spec."""
+        text = json.dumps(spec, sort_keys=True)
+        memo = self._base_delays.get(text)
+        if memo is None:
+            model = parse_delay_model(spec)
+            memo = self._base_delays[text] = (model,
+                                              delay_fingerprint(model))
+        return memo
 
     def _load_netlist(self, circuit: str) -> Netlist:
         cached = self._netlists.get(circuit)

@@ -54,6 +54,7 @@ from repro.core.delay import (
 from repro.core.inputs import CONFIG_I, CONFIG_II, InputStats
 from repro.core.nldm import FrozenDelays
 from repro.hier.model import AlgebraSpec
+from repro.schema import CompiledSchema
 from repro.stats.grid import TimeGrid
 
 try:                                        # pragma: no cover - optional
@@ -116,6 +117,8 @@ REQUEST_SCHEMA: Dict[str, Any] = {
         "direction": {"enum": ["rise", "fall"]},
     },
 }
+
+_REQUEST_VALIDATOR = CompiledSchema(REQUEST_SCHEMA)
 
 
 class RequestError(ValueError):
@@ -184,7 +187,7 @@ def validate_request(payload: object) -> Dict[str, Any]:
             f"{type(payload).__name__}")
     if jsonschema is not None:              # pragma: no cover - optional
         try:
-            jsonschema.validate(payload, REQUEST_SCHEMA)
+            _REQUEST_VALIDATOR.validate(payload)
         except jsonschema.ValidationError as exc:
             raise RequestError(f"schema violation: {exc.message}") from exc
         return payload

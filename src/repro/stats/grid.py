@@ -157,7 +157,14 @@ class GaussianKernel:
         offsets = np.arange(-self.half, self.half + 1) * grid.dt
         z = (offsets - residual) / delay.sigma
         taps = np.exp(-0.5 * z * z)
-        taps /= taps.sum()
+        total = taps.sum()
+        if total < np.finfo(float).tiny:
+            # sigma far below the pitch: every tap underflows.  Scaling
+            # by exp(0.5 * min(z*z)) keeps the nearest tap at one.
+            zz = z * z
+            taps = np.exp(-0.5 * (zz - zz.min()))
+            total = taps.sum()
+        taps /= total
         self.taps = taps
         self._rfft: Dict[int, np.ndarray] = {}
 

@@ -459,8 +459,9 @@ def verify_circuit(netlist: Netlist,
         profiles[(algebra_name, "hier")] = profile
 
     # The incremental SPSTA engine: replay an optimizer-style move
-    # schedule (overrides spread across the topological order, plus one
-    # revert) through the worklist repair, then rerun a fresh naive full
+    # schedule (overrides spread across the topological order, one
+    # clear, and a rejected move whose revert is served from the undo
+    # record) through the worklist repair, then rerun a fresh naive full
     # pass over the *same* effective delays.  The incremental-vs-full
     # policies are bit-exact for every algebra, which is what licenses
     # `optimize_spsta` to trust per-move cone repair.
@@ -471,6 +472,8 @@ def verify_circuit(netlist: Netlist,
         for i, gate_name in enumerate(schedule):
             inc.set_delay(gate_name, Normal(1.2 + 0.05 * i, 0.03))
         if schedule:
+            inc.clear_delay(schedule[0])
+            inc.set_delay(schedule[0], Normal(2.0, 0.03))
             inc.clear_delay(schedule[0])
         full = run_spsta(netlist, config, inc.effective_delay_model(),
                          factory(), engine="naive")

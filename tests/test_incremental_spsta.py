@@ -7,6 +7,13 @@ tests drive random edit sequences on the bundled ISCAS benches and
 check exactly that via :func:`assert_matches_full` (tolerance 0).
 """
 
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 import numpy as np
 import pytest
 
@@ -122,6 +129,144 @@ class TestWorklist:
         result = inc.result()
         assert result.netlist_name == netlist.name
         assert set(result.tops) == set(netlist.nets)
+
+
+class TestUndo:
+    def test_clear_after_set_is_a_restore(self):
+        netlist = benchmark_circuit("s298")
+        inc = IncrementalSpsta(netlist, CONFIG_I)
+        victim = netlist.combinational_gates[10].name
+        edit = inc.set_delay(victim, Normal(2.5, 0.1))
+        changed = edit.recomputed - edit.skipped
+        revert = inc.clear_delay(victim)
+        assert (revert.recomputed, revert.cone_size) == (0, 0)
+        assert revert.restored == changed > 0
+        assert_matches_full(inc)
+        # The record flips: redoing the edit is a restore too.
+        redo = inc.set_delay(victim, Normal(2.5, 0.1))
+        assert (redo.recomputed, redo.restored) == (0, changed)
+        assert_matches_full(inc)
+
+    def test_non_matching_edit_recomputes(self):
+        netlist = benchmark_circuit("s298")
+        inc = IncrementalSpsta(netlist, CONFIG_I)
+        victim = netlist.combinational_gates[10].name
+        inc.set_delay(victim, Normal(2.5, 0.1))
+        stats = inc.set_delay(victim, Normal(2.5, 0.2))
+        assert stats.recomputed > 0 and stats.restored == 0
+        assert_matches_full(inc)
+
+    @pytest.mark.parametrize("drop", ["full-edit", "full-recompute",
+                                      "update-gate"])
+    def test_record_is_dropped(self, drop):
+        netlist = benchmark_circuit("s298")
+        inc = IncrementalSpsta(netlist, CONFIG_I)
+        victim = netlist.combinational_gates[10].name
+        if drop == "full-edit":
+            inc.set_delay(victim, Normal(2.5, 0.1), full=True)
+        else:
+            inc.set_delay(victim, Normal(2.5, 0.1))
+            if drop == "full-recompute":
+                inc.full_recompute()
+            else:
+                inc.update_gate(victim)
+        stats = inc.clear_delay(victim)
+        assert stats.restored == 0 and stats.recomputed > 0
+        assert_matches_full(inc)
+
+    def test_failed_edit_leaves_the_state_untouched(self, monkeypatch):
+        netlist = benchmark_circuit("s298")
+        inc = IncrementalSpsta(netlist, CONFIG_I)
+        inc.set_delay(netlist.combinational_gates[3].name, Normal(2.0, 0.1))
+        tops = dict(inc.tops)
+        model = inc.effective_delay_model()
+        calls = {"n": 0}
+
+        def failing(*args):
+            calls["n"] += 1
+            if calls["n"] > 2:
+                raise FloatingPointError("injected")
+            return original(*args)
+
+        import repro.core.incremental_spsta as module
+        original = module._gate_tops
+        monkeypatch.setattr(module, "_gate_tops", failing)
+        with pytest.raises(FloatingPointError):
+            inc.set_delay(netlist.combinational_gates[0].name,
+                          Normal(3.0, 0.1))
+        monkeypatch.undo()
+        assert inc.tops == tops
+        assert (inc.effective_delay_model().fingerprint_payload()
+                == model.fingerprint_payload())
+        assert_matches_full(inc)
+
+
+MUS = (0.5, 1.0, 1.4, 2.0)
+SIGMAS = (0.0, 0.05, 0.2)
+
+
+def _undo_machine(algebra_kind):
+    """Random set/clear/revert sequences on s27: after every step the
+    state equals a fresh full pass bit for bit, and every revert of the
+    previous edit is a restore that recomputes nothing."""
+
+    class UndoMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            netlist = benchmark_circuit("s27")
+            self.inc = IncrementalSpsta(
+                netlist, CONFIG_I,
+                algebra=_algebra_for(algebra_kind, netlist))
+            self.gates = [g.name for g in netlist.combinational_gates]
+            self.overrides = {}
+            #: (gate, its override before the last edit, TOPs that edit
+            #: changed) when that edit left an undo record
+            self.last = None
+
+        def _edit(self, gate, delay, full=False):
+            prior = self.overrides.get(gate)
+            if delay is None:
+                stats = self.inc.clear_delay(gate, full=full)
+                self.overrides.pop(gate, None)
+            else:
+                stats = self.inc.set_delay(gate, delay, full=full)
+                self.overrides[gate] = delay
+            changed = (stats.restored if stats.restored
+                       else stats.recomputed - stats.skipped)
+            self.last = None if full else (gate, prior, changed)
+            return stats
+
+        @rule(index=st.integers(0, 9), mu=st.sampled_from(MUS),
+              sigma=st.sampled_from(SIGMAS), full=st.booleans())
+        def set_delay(self, index, mu, sigma, full):
+            self._edit(self.gates[index % len(self.gates)],
+                       Normal(mu, sigma), full)
+
+        @rule(index=st.integers(0, 9))
+        def clear_delay(self, index):
+            self._edit(self.gates[index % len(self.gates)], None)
+
+        @precondition(lambda self: self.last is not None)
+        @rule()
+        def revert(self):
+            gate, prior, changed = self.last
+            stats = self._edit(gate, prior)
+            assert (stats.recomputed, stats.cone_size) == (0, 0)
+            assert stats.restored == changed
+
+        @invariant()
+        def matches_full(self):
+            assert_matches_full(self.inc)
+
+    UndoMachine.__name__ = f"UndoMachine_{algebra_kind}"
+    UndoMachine.TestCase.settings = settings(
+        max_examples=12, stateful_step_count=10, deadline=None)
+    return UndoMachine
+
+
+TestUndoMachineMoment = _undo_machine("moment").TestCase
+TestUndoMachineMixture = _undo_machine("mixture").TestCase
+TestUndoMachineGrid = _undo_machine("grid").TestCase
 
 
 class TestValidation:

@@ -99,6 +99,53 @@ class TestProtocol:
         payload = {"v": 1, "id": 7, "op": "analyze", "circuit": "s27"}
         assert validate_request(payload) is payload
 
+    @pytest.mark.parametrize("payload", [
+        {"v": 99, "op": "status"},
+        {"op": "status"},
+        {"v": 1, "op": "explode"},
+        {"v": 1, "op": "query", "direction": "sideways"},
+        {"v": 1, "op": "edit", "gate": "G14", "mu": "fast"},
+        {"v": 1, "op": "edit", "gate": "G14", "sigma": -0.5},
+        {"v": 1, "op": "analyze", "circuit": ""},
+        {"v": 1, "op": "analyze", "grid": "1:2"},
+        {"v": 1, "op": "analyze", "delay": {"value": 1.0}},
+        {"v": 1, "op": "analyze", "delay": {"kind": "quantum"}},
+        {"v": 1, "op": "status", "id": [1]},
+        {"v": 1, "op": "edit", "clear": "yes"},
+    ])
+    def test_messages_match_jsonschema_validate(self, payload):
+        jsonschema = pytest.importorskip("jsonschema")
+        from repro.serve.protocol import REQUEST_SCHEMA
+
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(payload, REQUEST_SCHEMA)
+        with pytest.raises(RequestError) as got:
+            validate_request(payload)
+        assert str(got.value) == \
+            f"schema violation: {expected.value.message}"
+        assert got.value.code == "bad-request"
+
+    def test_schema_is_checked_once(self, monkeypatch):
+        jsonschema = pytest.importorskip("jsonschema")
+        from repro.schema import CompiledSchema
+        from repro.serve import protocol
+
+        cls = jsonschema.validators.validator_for(protocol.REQUEST_SCHEMA)
+        checks = []
+        original = cls.check_schema
+
+        def counting(schema, *args, **kwargs):
+            checks.append(schema)
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+        monkeypatch.setattr(protocol, "_REQUEST_VALIDATOR",
+                            CompiledSchema(protocol.REQUEST_SCHEMA))
+        for i in range(100):
+            validate_request({"v": 1, "id": i, "op": "query",
+                              "circuit": "s27", "net": "G17"})
+        assert len(checks) == 1
+
     def test_delay_specs_round_trip(self):
         from repro.core.delay import NormalDelay, UnitDelay
         from repro.core.nldm import FrozenDelays
@@ -225,6 +272,31 @@ class TestEdits:
         assert after["cached"]
         assert _payload_text(after) == _payload_text(before)
 
+    def test_revert_is_a_restore(self, server):
+        _req(server, id=1, op="analyze", circuit="s27")
+        edit = _req(server, id=2, op="edit", circuit="s27", gate="G14",
+                    mu=2.5, sigma=0.3)["result"]["retime"]
+        clear = _req(server, id=3, op="edit", circuit="s27", gate="G14",
+                     clear=True)["result"]["retime"]
+        assert edit["restored"] == 0 and edit["recomputed"] > 0
+        assert clear["recomputed"] == 0
+        assert clear["restored"] == edit["recomputed"] - edit["skipped"]
+        (session,) = server._sessions.values()
+        assert_matches_full(session.inc, tolerance=0.0)
+        status = _req(server, id=4, op="status")["result"]
+        assert status["sessions"][0]["edits"] == 2
+
+    def test_sigma_far_below_grid_pitch(self, server):
+        fields = {"circuit": "s27", "algebra": "grid",
+                  "grid": "-8:60:512"}
+        edit = _req(server, id=1, op="edit", gate="G14", mu=1.5,
+                    sigma=0.001, **fields)
+        assert edit["ok"], edit
+        query = _req(server, id=2, op="query", net="G17", **fields)
+        assert query["ok"], query
+        (session,) = server._sessions.values()
+        assert_matches_full(session.inc, tolerance=0.0)
+
     def test_structural_edit_rebuilds(self, server):
         edit = _req(server, id=1, op="edit", circuit="tiny",
                     bench=BENCH_TINY)
@@ -338,6 +410,135 @@ class TestResultCache:
         assert cache.evictions == 1
         assert cache.get("a" * 64) == {"v": 1}  # promoted back from disk
         assert cache.disk_hits == 1
+
+
+
+# -- disk tier across processes ----------------------------------------------
+
+#: A worker process: put ``n`` entries, each under a shared key and under
+#: a key of its own, cycling circuits c0..c2; every payload is a
+#: function of its key, as content-addressed results are.
+_WRITER = """
+import sys
+from repro.serve.cache import ResultCache
+directory, name, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = ResultCache(4, directory)
+for i in range(n):
+    for key in (f"{i:064x}", f"{name}{i:061x}"):
+        cache.put(key, {"key": key, "pad": "x" * (64 * i)},
+                  circuit=f"c{i % 3}")
+"""
+
+_INVALIDATOR = """
+import sys
+from repro.serve.cache import ResultCache
+print(ResultCache(4, sys.argv[1]).invalidate_circuit(sys.argv[2]))
+"""
+
+
+def _python(script, *args):
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        stdout=subprocess.PIPE, text=True)
+
+
+class TestDiskTier:
+    def test_restart_round_trip(self, tmp_path):
+        cache = ResultCache(4, tmp_path / "rc")
+        for i in range(6):
+            cache.put(f"{i:064x}", {"i": i}, circuit="s27")
+        restarted = ResultCache(4, tmp_path / "rc")
+        assert restarted.disk_entries == 6
+        for i in range(6):
+            assert restarted.get(f"{i:064x}", "s27") == {"i": i}
+        assert restarted.disk_hits == 6
+        manifest = json.loads((tmp_path / "rc" / "manifest.json")
+                              .read_text())
+        assert manifest == {"format": "spsta-serve-cache", "version": 2}
+
+    def test_concurrent_writers_lose_and_tear_nothing(self, tmp_path):
+        directory = tmp_path / "rc"
+        ResultCache(4, directory)
+        n = 60
+        procs = [_python(_WRITER, directory, name, n) for name in "abc"]
+        for proc in procs:
+            assert proc.wait(timeout=120) == 0
+        fresh = ResultCache(4, directory)
+        keys = [f"{i:064x}" for i in range(n)] + [
+            f"{name}{i:061x}" for name in "abc" for i in range(n)]
+        for i, key in enumerate(keys):
+            expected = {"key": key, "pad": "x" * (64 * (i % n))}
+            assert fresh.get(key, f"c{i % n % 3}") == expected, key
+        assert fresh.disk_entries == 4 * n
+        assert not list(directory.glob(".*"))  # no stray temp files
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage",
+                                        "wrong-key", "bad-checksum"])
+    def test_damaged_entry_is_a_miss_and_unlinked(self, tmp_path, damage):
+        cache = ResultCache(4, tmp_path / "rc")
+        key = "a" * 64
+        cache.put(key, {"value": 1.5}, circuit="c1")
+        path = cache.entry_path(key, "c1")
+        raw = path.read_bytes()
+        head, _, payload = raw.partition(b"\n")
+        if damage == "truncated":
+            path.write_bytes(raw[:len(raw) - 3])
+        elif damage == "garbage":
+            path.write_bytes(b"\x00\xffnot an entry")
+        elif damage == "wrong-key":
+            other = ResultCache(4, tmp_path / "other")
+            other.put("b" * 64, {"value": 1.5}, circuit="c1")
+            path.write_bytes(other.entry_path("b" * 64, "c1").read_bytes())
+        else:
+            path.write_bytes(head + b"\n" + payload.replace(b"1.5", b"2.5"))
+        fresh = ResultCache(4, tmp_path / "rc")
+        assert fresh.get(key, "c1") is None
+        assert fresh.misses == 1
+        assert not path.exists()
+
+    def test_invalidate_across_processes(self, tmp_path):
+        directory = tmp_path / "rc"
+        writer = ResultCache(4, directory)
+        for i in range(3):
+            writer.put(f"{i:064x}", {"i": i}, circuit="c1")
+        writer.put("f" * 64, {"i": 9}, circuit="c2")
+        proc = _python(_INVALIDATOR, directory, "c1")
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and int(out) == 3
+        fresh = ResultCache(4, directory)
+        assert all(fresh.get(f"{i:064x}", "c1") is None for i in range(3))
+        assert fresh.get("f" * 64, "c2") == {"i": 9}
+
+    def test_v1_directory_opens_empty(self, tmp_path):
+        directory = tmp_path / "rc"
+        directory.mkdir()
+        key = "a" * 64
+        text = json.dumps({"v": 1})
+        (directory / f"rs_{key[:32]}.json").write_text(text)
+        (directory / "manifest.json").write_text(json.dumps({
+            "format": "spsta-serve-cache", "version": 1,
+            "entries": {key: {"file": f"rs_{key[:32]}.json",
+                              "sha256": "0" * 64, "circuit": "c1"}}}))
+        cache = ResultCache(4, directory)
+        assert cache.disk_entries == 0
+        assert cache.get(key) is None and cache.get(key, "c1") is None
+        assert not (directory / f"rs_{key[:32]}.json").exists()
+        cache.put(key, {"v": 2}, circuit="c1")
+        assert ResultCache(4, directory).get(key, "c1") == {"v": 2}
+
+    @pytest.mark.parametrize("manifest", [
+        {"format": "something-else", "entries": {}},
+        {"format": "spsta-serve-cache", "version": 3},
+        "not json",
+    ])
+    def test_foreign_manifest_still_refused(self, tmp_path, manifest):
+        directory = tmp_path / "rc"
+        directory.mkdir()
+        (directory / "manifest.json").write_text(
+            manifest if isinstance(manifest, str) else json.dumps(manifest))
+        with pytest.raises(ServeCacheError):
+            ResultCache(4, directory)
 
 
 # -- warm restart ------------------------------------------------------------

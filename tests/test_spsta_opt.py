@@ -105,6 +105,44 @@ class TestOptimizeSpsta:
         assert inc.metric_after == full.metric_after
         assert inc.recomputed_gates < full.recomputed_gates
 
+    def test_reverts_are_restores(self, monkeypatch):
+        """Every rejected move's revert returns the override map to the
+        one before the move, so it is served from the undo record; the
+        run itself is the one full re-timing makes."""
+        from repro.core.incremental_spsta import IncrementalSpsta
+
+        stats = []
+        for name in ("set_delay", "clear_delay"):
+            original = getattr(IncrementalSpsta, name)
+
+            def spy(self, *args, _original=original, **kwargs):
+                update = _original(self, *args, **kwargs)
+                stats.append(update)
+                return update
+
+            monkeypatch.setattr(IncrementalSpsta, name, spy)
+        kwargs = dict(clock_period=5.0, max_area=8.0, anneal=True,
+                      anneal_moves=40, target_yield=0.9999)
+        inc = optimize_spsta(benchmark_circuit("s298"),
+                             rng=np.random.default_rng(3), **kwargs)
+        restores = [u for u in stats if u.cone_size == 0]
+        rejected = sum(not m.accepted for m in inc.moves)
+        assert len(restores) >= rejected > 0
+        assert all(u.recomputed == 0 for u in restores)
+        assert sum(u.restored for u in restores) > 0
+        monkeypatch.undo()
+        full = optimize_spsta(benchmark_circuit("s298"),
+                              rng=np.random.default_rng(3),
+                              retime="full", **kwargs)
+
+        def decisions(result):
+            return [(m.phase, m.gate, m.size, m.accepted, m.metric_after)
+                    for m in result.moves]
+
+        assert decisions(inc) == decisions(full)
+        assert (inc.sizes, inc.metric_after) == (full.sizes,
+                                                 full.metric_after)
+
     def test_mc_validation_agrees_with_the_spsta_metric(self):
         result = optimize_spsta(benchmark_circuit("s27"),
                                 clock_period=4.0, max_area=6.0,

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.stats.clark import clark_max_moments
-from repro.stats.grid import GridDensity, TimeGrid, grid_weighted_sum
+from repro.stats.grid import (
+    GaussianKernel,
+    GridDensity,
+    TimeGrid,
+    grid_weighted_sum,
+)
 from repro.stats.normal import Normal
 
 
@@ -132,3 +137,31 @@ class TestGridOps:
         cdf = d.cdf_values()
         assert np.all(np.diff(cdf) >= -1e-12)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestGaussianKernel:
+    GRID = TimeGrid(-8.0, 60.0, 512)
+
+    @pytest.mark.parametrize("mu", [1.5, 1.5 + 0.5 * 68.0 / 512, 2.0])
+    def test_sigma_far_below_pitch_keeps_finite_taps(self, mu):
+        # Every exp(-z^2/2) underflows here, so the raw taps sum to 0.
+        kernel = GaussianKernel(self.GRID, Normal(mu, 0.001))
+        assert np.all(np.isfinite(kernel.taps))
+        assert kernel.taps.sum() == pytest.approx(1.0, abs=1e-15)
+        # The mass sits on the grid point(s) nearest the mean.
+        offsets = (np.arange(len(kernel)) - kernel.half) * self.GRID.dt
+        distance = np.abs(kernel.shift * self.GRID.dt + offsets - mu)
+        assert set(np.flatnonzero(kernel.taps > 1e-300)) <= set(
+            np.flatnonzero(distance <= distance.min() + 1e-12))
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.1, 1.0])
+    def test_ordinary_kernels_are_unchanged(self, sigma):
+        grid = self.GRID
+        delay = Normal(1.37, sigma)
+        kernel = GaussianKernel(grid, delay)
+        shift = int(round(delay.mu / grid.dt))
+        offsets = np.arange(-kernel.half, kernel.half + 1) * grid.dt
+        z = (offsets - (delay.mu - shift * grid.dt)) / delay.sigma
+        taps = np.exp(-0.5 * z * z)
+        taps /= taps.sum()
+        assert np.array_equal(kernel.taps, taps)
