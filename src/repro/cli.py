@@ -156,7 +156,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         spsta = hier_run.result
     else:
         spsta = run_spsta(netlist, config, engine=args.engine,
-                          workers=args.spsta_workers,
                           profile=spsta_profile)
     mc = None
     if args.trials > 0:
@@ -215,7 +214,6 @@ def _cmd_table3(args: argparse.Namespace) -> int:
     rows = run_table3(config, n_trials=args.trials, seed=args.seed,
                       mc_mode=args.mc_mode, shards=args.shards,
                       workers=args.workers, engine=args.engine,
-                      spsta_workers=args.spsta_workers,
                       profile=args.profile, retry=fault.retry,
                       deadline=fault.deadline,
                       checkpoint_dir=fault.checkpoint, resume=fault.resume)
@@ -537,7 +535,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.scenario import run_scenario_batch, run_scenarios_looped
-    from repro.core.scenario_jit import resolve_jit_flag
     from repro.core.spsta import GridAlgebra, MixtureAlgebra, MomentAlgebra
 
     netlist = _load_circuit(args.circuit)
@@ -550,15 +547,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         algebra = MixtureAlgebra()
     else:
         algebra = MomentAlgebra()
-    sweep = run_scenario_batch(netlist, scenarios, algebra,
-                               keep=args.keep, jit=args.jit)
+    sweep = run_scenario_batch(netlist, scenarios, algebra, keep=args.keep)
 
     report = {
         "circuit": netlist.name,
         "algebra": args.algebra,
         "n_scenarios": len(scenarios),
         "keep": args.keep,
-        "jit": resolve_jit_flag(args.jit),
         "compile_seconds": sweep.compile_seconds,
         "execute_seconds": sweep.execute_seconds,
         "scenarios": [],
@@ -920,8 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="fast",
                          help="SPSTA propagation engine (fast: levelized "
                               "batched kernels; naive: per-gate reference)")
-        cmd.add_argument("--spsta-workers", type=int, default=1,
-                         help="process pool size for the fast grid engine")
         cmd.add_argument("--profile", action="store_true",
                          help="print SPSTA phase timings and work counters")
 
@@ -942,6 +935,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shorthand for --partition 4")
     add_mc_engine_args(analyze)
     add_spsta_engine_args(analyze)
+    analyze.add_argument("--spsta-workers", type=int, default=1,
+                         help="process pool size for the --partition/"
+                              "--hier region scheduler")
     analyze.set_defaults(func=_cmd_analyze)
 
     lint = sub.add_parser(
@@ -1039,10 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="endpoints",
                        help="grid algebra: retain all nets or trim "
                             "interior blocks after last use")
-    sweep.add_argument("--jit", choices=("auto", "on", "off"),
-                       default=None,
-                       help="numba segment-sum feature flag (default: "
-                            "SPSTA_SCENARIO_JIT env var, else auto)")
     sweep.add_argument("--compare-looped", action="store_true",
                        help="also time the per-scenario looped fast "
                             "engine and report the speedup")

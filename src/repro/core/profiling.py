@@ -32,7 +32,7 @@ class SpstaProfile:
     engine: str = ""
     algebra: str = ""
     circuit: str = ""
-    workers: int = 1
+    workers: int = 1             # region pool size of a hier run
     scenarios: int = 1           # >1 for the scenario-batched backend
 
     gates_processed: int = 0

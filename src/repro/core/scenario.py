@@ -1,13 +1,13 @@
-"""Compiled scenario-batched SPSTA backend.
+"""The compiled SPSTA level walker, batched over scenarios.
 
-The fast engine (:mod:`repro.core.spsta_fast`) batches gates *within* one
-analysis; every multi-corner flow in the repo — ``run_corners``, the
-Table 3 config sweep, derate studies — still loops whole analyses, paying
-the full per-scenario Python walk, weight-table build, launch, and
-small-batch FFT dispatch N times.  This module compiles a netlist ONCE
-into a flat tensor program and then executes N scenarios (PVT/derate
+Every grid and closed-form propagation of the repo's fast engine runs
+here.  :func:`compile_netlist` lowers a netlist ONCE into a flat tensor
+program; :func:`run_scenario_batch` then executes N scenarios (PVT/derate
 corners, input-statistics sweeps, delay-model perturbations) as one
-vectorized pass over a stacked ``(scenario, net, bin)`` array.
+vectorized pass over a stacked ``(scenario, net, bin)`` array, and
+``run_spsta(engine="fast")`` (:mod:`repro.core.spsta_fast`) is the same
+walk with a batch of one scenario and, for hierarchical regions, seeded
+boundary TOPs.
 
 Compile / execute model
 -----------------------
@@ -26,31 +26,31 @@ the compiled program:
 - **launch / probabilities once per group** — ``launch_tops`` and the
   four-value probability walk run once, not once per scenario;
 - **stacked per-level prep** — every referenced conditional density of
-  every scenario normalizes and integrates in one 2-D pass (the batched
-  analogue of ``_prepare_nets``, with per-net ``(scenario, bin)``
-  blocks);
+  every scenario normalizes and integrates in one 2-D pass, with
+  per-net ``(scenario, bin)`` blocks;
 - **cross-scenario subset DP** — AND/OR-core directions become
-  ``_ControllingJob`` rows whose subset-lattice DP batches across gates
-  AND scenarios in the existing 3-D kernels (packed subset-weight tables
-  are built once per gate direction and shared by every scenario in the
-  group via :class:`~repro.core.spsta_fast.WeightTableCache`);
+  :class:`_SubsetTemplate` rows (or, for MIS-aware delay models,
+  ``_ControllingJob`` rows) whose subset-lattice DP batches across gates
+  AND scenarios in the 3-D kernels of :mod:`repro.core.spsta_fast`
+  (packed subset-weight tables are built once per gate direction and
+  shared by every scenario in the group via
+  :class:`~repro.core.spsta_fast.WeightTableCache`);
+- **parity prefix enumeration** — XOR/XNOR joint enumeration collapses
+  the 4^k four-value assignments to the 3^k (static / rise / fall)
+  patterns, tracking the static-ones parity as an (even, odd) weight
+  pair and sharing MAX-fold prefixes;
 - **batched convolve + mix** — all rows of a level, across all
   scenarios, go through one kernel-grouped FFT batch and one run-length
-  segment mix (optionally jitted, see below).
+  segment mix.
+
+Each level runs in its own call frame, so its prep, DP and convolution
+temporaries are freed before the next level allocates its own.
 
 Closed-form algebras (moments, mixtures) cannot reorder their scalar
 folds without losing the repo's bit-exactness contract, so they run the
 per-scenario generic walk with shared launch/probability/weight-table
 state — identical results to looping ``run_spsta(engine="fast")``, minus
 the redundant per-scenario setup.
-
-Feature flag
-------------
-
-``jit="auto"|"on"|"off"`` (or the ``SPSTA_SCENARIO_JIT`` environment
-variable) selects an optional numba-jitted segment-sum kernel for the
-mix phase; when numba is absent the flag degrades cleanly to the NumPy
-path (:mod:`repro.core.scenario_jit`).
 
 Memory scaling
 --------------
@@ -62,8 +62,8 @@ last fan-out level so peak memory follows the live frontier instead of
 the whole netlist.  ``repro.lint`` rule SP204 estimates the
 ``n_scenarios × bins × nets`` footprint up front.
 
-Equivalence with the looped fast engine is pinned by
-``tests/test_scenario_batch.py`` and the conformance harness
+Equivalence of a batch with the same scenarios run one at a time is
+pinned by ``tests/test_scenario_batch.py`` and the conformance harness
 (``batched-vs-fast`` / ``batched-vs-mc`` policies): bit-exact for the
 closed-form algebras, within 1e-12 weights / 1e-9 moments for grids.
 """
@@ -77,6 +77,7 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -90,7 +91,6 @@ from repro.core.delay import DelayModel, UnitDelay
 from repro.core.inputs import CONFIG_I, InputStats, Prob4
 from repro.core.probability import gate_prob4
 from repro.core.profiling import SpstaProfile
-from repro.core.scenario_jit import SegmentSum, resolve_segment_sum
 from repro.core.spsta import (
     MAX_PARITY_FANIN,
     GridAlgebra,
@@ -198,8 +198,7 @@ KIND_PARITY = 1
 KIND_SUBSET = 2
 
 
-@dataclass(frozen=True)
-class GateRecord:
+class GateRecord(NamedTuple):
     """One gate lowered to its execution kernel."""
 
     gate: Gate
@@ -248,8 +247,6 @@ def compile_netlist(netlist: Netlist, *,
     last_use: Dict[str, int] = {}
     for li, level in enumerate(netlist.levels):
         records = []
-        seen: List[str] = []
-        seen_set = set()
         for gate in level:
             spec = gate_spec(gate.gate_type)
             if gate.gate_type in (GateType.BUFF, GateType.NOT):
@@ -260,13 +257,12 @@ def compile_netlist(netlist: Netlist, *,
                 kind = KIND_SUBSET
             records.append(GateRecord(gate, spec, kind, spec.inverting,
                                       spec.controlling_value == 0))
-            for src in gate.inputs:
-                last_use[src] = li
-                if src not in seen_set:
-                    seen_set.add(src)
-                    seen.append(src)
+        nets = tuple(dict.fromkeys(src for gate in level
+                                   for src in gate.inputs))
+        for src in nets:
+            last_use[src] = li
         levels.append(tuple(records))
-        level_nets.append(tuple(seen))
+        level_nets.append(nets)
     return CompiledNetlist(netlist, parity_cap, tuple(levels),
                            tuple(level_nets), last_use)
 
@@ -311,20 +307,19 @@ def run_scenario_batch(netlist: Netlist,
                        compiled: Optional[CompiledNetlist] = None,
                        profile: Optional[SpstaProfile] = None,
                        max_parity_fanin: Optional[int] = None,
-                       keep: str = "all",
-                       jit: Optional[str] = None) -> SweepResult:
+                       keep: str = "all") -> SweepResult:
     """Execute N scenarios over one netlist as a batched sweep.
 
-    Results match looping ``run_spsta(..., engine="fast")`` per
-    scenario: bit-exactly for the closed-form algebras, within grid
+    Results match running each scenario on its own
+    (``run_spsta(..., engine="fast")``, the batch-of-one case of this
+    walker): bit-exactly for the closed-form algebras, within grid
     rounding (1e-12 weights / 1e-9 moments) for :class:`GridAlgebra` —
     see ``tests/test_scenario_batch.py``.
 
     ``compiled`` reuses a :func:`compile_netlist` program across sweeps;
     ``keep`` is ``"all"`` (every net's TOPs in every result) or
     ``"endpoints"`` (grid algebra: interior blocks are freed after their
-    last use, results retain launch points and endpoints only);
-    ``jit`` is the numba feature flag (see module docstring).
+    last use, results retain launch points and endpoints only).
     """
     scenarios = tuple(scenarios)
     if not scenarios:
@@ -339,7 +334,6 @@ def run_scenario_batch(netlist: Netlist,
     profile.algebra = type(algebra).__name__
     profile.circuit = netlist.name
     profile.scenarios = len(scenarios)
-    segment_sum = resolve_segment_sum(jit)
 
     t0 = time.perf_counter()
     if compiled is None:
@@ -373,12 +367,8 @@ def run_scenario_batch(netlist: Netlist,
     t1 = time.perf_counter()
     for stats, idxs in groups:
         models = [scenarios[i].delay_model for i in idxs]
-        if isinstance(algebra, GridAlgebra):
-            group_out = _run_grid_group(compiled, stats, models, algebra,
-                                        wcache, profile, keep, segment_sum)
-        else:
-            group_out = _run_generic_group(compiled, stats, models, algebra,
-                                           wcache, profile)
+        group_out = _run_group(compiled, stats, models, algebra, wcache,
+                               profile, keep)
         for i, (prob4, tops) in zip(idxs, group_out):
             results[i] = SpstaResult(netlist.name, algebra, prob4, tops,
                                      profile)
@@ -400,8 +390,10 @@ def run_scenarios_looped(netlist: Netlist,
                          ) -> List[SpstaResult]:
     """Reference loop: one full ``run_spsta(engine="fast")`` per scenario.
 
-    The pre-batching behaviour every sweep caller had; kept as the
-    differential-test oracle and the benchmark baseline
+    Each call runs this module's walker as a batch of one, so comparing
+    it with :func:`run_scenario_batch` checks that batching N scenarios
+    gives the same results as running them one at a time.  Kept as that
+    differential-test oracle and as the benchmark baseline
     (``BENCH_scenario_sweep.json``).
     """
     if algebra_factory is None:
@@ -418,10 +410,26 @@ def run_scenarios_looped(netlist: Netlist,
 
 _GroupOut = List[Tuple[Dict[str, Prob4], Dict[str, NetTops]]]
 
+#: Boundary launch points pre-seeded with upstream ``(Prob4, NetTops)``
+#: (see :func:`repro.core.spsta.run_spsta`).
+_Seeds = Optional[Mapping[str, Tuple[Prob4, NetTops]]]
+
+
+def _run_group(compiled: CompiledNetlist, stats, models, algebra,
+               wcache: WeightTableCache, profile: SpstaProfile,
+               keep: str = "all", seed_tops: _Seeds = None) -> _GroupOut:
+    """Run the scenarios of one stats group (one delay model each)
+    through the walker matching ``algebra``."""
+    if isinstance(algebra, GridAlgebra):
+        return _run_grid_group(compiled, stats, models, algebra, wcache,
+                               profile, keep, seed_tops)
+    return _run_generic_group(compiled, stats, models, algebra, wcache,
+                              profile, seed_tops)
+
 
 def _run_generic_group(compiled: CompiledNetlist, stats, models, algebra,
-                       wcache: WeightTableCache,
-                       profile: SpstaProfile) -> _GroupOut:
+                       wcache: WeightTableCache, profile: SpstaProfile,
+                       seed_tops: _Seeds = None) -> _GroupOut:
     """Moment/mixture scenarios of one stats group.
 
     Launch TOPs, four-value probabilities, and Eq. 11 weight tables are
@@ -434,7 +442,7 @@ def _run_generic_group(compiled: CompiledNetlist, stats, models, algebra,
     prob4: Dict[str, Prob4] = {}
     launch: Dict[str, NetTops] = {}
     with profile.phase("launch"):
-        launch_tops(netlist, stats, algebra, prob4, launch)
+        launch_tops(netlist, stats, algebra, prob4, launch, seeds=seed_tops)
     for level in compiled.levels:
         for record in level:
             gate = record.gate
@@ -475,109 +483,35 @@ _DirItems = Optional[List[object]]
 
 def _run_grid_group(compiled: CompiledNetlist, stats, models,
                     algebra: GridAlgebra, wcache: WeightTableCache,
-                    profile: SpstaProfile, keep: str,
-                    segment_sum: Optional[SegmentSum]) -> _GroupOut:
+                    profile: SpstaProfile, keep: str = "all",
+                    seed_tops: _Seeds = None) -> _GroupOut:
     """Grid scenarios of one stats group as one stacked sweep."""
     netlist = compiled.netlist
     grid = algebra.grid
-    n = grid.n
-    dt = grid.dt
     b = len(models)
-    ctx = _GridContext(grid=grid, delay_model=models[0],
-                       kernel_cache=algebra.kernel_cache, wcache=wcache,
-                       parity_cap=compiled.parity_cap, profile=profile)
+    ctx = _GridContext(grid=grid, kernel_cache=algebra.kernel_cache,
+                       wcache=wcache, parity_cap=compiled.parity_cap,
+                       profile=profile)
     any_mis = any(hasattr(model, "delay_mis") for model in models)
     gate_delays = None if any_mis else _group_gate_delays(models)
     prob4: Dict[str, Prob4] = {}
     launch: Dict[str, NetTops] = {}
     with profile.phase("launch"):
-        launch_tops(netlist, stats, algebra, prob4, launch)
+        launch_tops(netlist, stats, algebra, prob4, launch, seeds=seed_tops)
     weights: Dict[Tuple[str, int], float] = {}
     blocks: _Blocks = {}
     for net, tops in launch.items():
         for d, top in ((0, tops.rise), (1, tops.fall)):
             weights[(net, d)] = top.weight
             blocks[(net, d)] = (
-                np.broadcast_to(top.conditional.values, (b, n))
+                np.broadcast_to(top.conditional.values, (b, grid.n))
                 if top.occurs else None)
     endpoints = frozenset(netlist.endpoints)
 
     for li, level in enumerate(compiled.levels):
-        for record in level:
-            gate = record.gate
-            prob4[gate.name] = gate_prob4(
-                gate.gate_type, [prob4[src] for src in gate.inputs])
-
-        with profile.phase("subset-eval"):
-            prep = _prepare_blocks(compiled.level_nets[li], blocks, b, dt)
-            pending: List[_ControllingJob] = []
-            templates: Optional[List[_SubsetTemplate]] = (
-                None if any_mis else [])
-            gate_dirs: List[Tuple[str, Tuple[object, object]]] = []
-            for record in level:
-                gate_dirs.append(
-                    (record.gate.name,
-                     _phase_a_gate(record, prob4, weights, prep, models,
-                                   b, ctx, pending, templates,
-                                   gate_delays)))
-            if templates:
-                _run_subset_templates(templates, b, ctx)
-            _run_controlling_jobs(pending, ctx)
-
-            # Phase B layout: (gate, direction)-major, scenario-minor —
-            # each occurring direction owns B consecutive segments.
-            rows: List[np.ndarray] = []
-            delays: List[Normal] = []
-            counts: List[int] = []
-            expected: List[float] = []
-            order: List[Tuple[str, int]] = []
-            ones_b = [1] * b
-            for name, dirs in gate_dirs:
-                for direction, items in enumerate(dirs):
-                    if items is None:
-                        weights[(name, direction)] = 0.0
-                        blocks[(name, direction)] = None
-                        continue
-                    if isinstance(items, _SubsetTemplate):
-                        items = items.items
-                    if isinstance(items, _DirBlock):
-                        rows.append(items.block)
-                        delays.extend(items.delays)
-                        counts.extend(ones_b)
-                        expected.extend([items.expected] * b)
-                        weights[(name, direction)] = items.total
-                        order.append((name, direction))
-                        continue
-                    total = None
-                    for item in items:
-                        if isinstance(item, _ControllingJob):
-                            seg_total = item.total
-                            seg_expected = item.total
-                            dir_rows = list(item.acc.values())
-                        else:
-                            seg_total, seg_expected, dir_rows = item
-                        counts.append(len(dir_rows))
-                        expected.append(seg_expected)
-                        for delay, row in dir_rows:
-                            delays.append(delay)
-                            rows.append(row)
-                        if total is None:
-                            total = seg_total
-                    weights[(name, direction)] = total
-                    order.append((name, direction))
-
-        if rows:
-            with profile.phase("convolve"):
-                out = _convolve_matrix(np.vstack(rows), delays, ctx)
-            with profile.phase("mix"):
-                mixed = _mix_rows(out, counts, np.asarray(expected), ctx,
-                                  segment_sum)
-            seg = 0
-            for name, direction in order:
-                blocks[(name, direction)] = mixed[seg:seg + b].copy()
-                seg += b
+        _run_grid_level(compiled, li, prob4, weights, blocks, models, ctx,
+                        any_mis, gate_delays, keep == "endpoints")
         profile.gates_processed += len(level) * b
-
         if keep == "endpoints":
             for net in compiled.level_nets[li]:
                 if (compiled.last_use.get(net) == li
@@ -593,6 +527,9 @@ def _run_grid_group(compiled: CompiledNetlist, stats, models,
     for s in range(b):
         tops_s: Dict[str, NetTops] = {}
         for name in kept:
+            if name in launch:        # shared by every scenario
+                tops_s[name] = launch[name]
+                continue
             rise_blk = blocks[(name, 0)]
             fall_blk = blocks[(name, 1)]
             tops_s[name] = NetTops(
@@ -604,15 +541,116 @@ def _run_grid_group(compiled: CompiledNetlist, stats, models,
     return out
 
 
+def _run_grid_level(compiled: CompiledNetlist, li: int,
+                    prob4: Dict[str, Prob4],
+                    weights: Dict[Tuple[str, int], float], blocks: _Blocks,
+                    models, ctx: _GridContext, any_mis: bool,
+                    gate_delays, trim: bool) -> None:
+    """One level of the stacked sweep: writes each gate's probabilities,
+    occurrence weights and ``(scenario, bin)`` blocks.
+
+    A call of its own so the level's prep, DP, convolution and mix
+    temporaries die on return instead of staying alive while the next
+    level builds its own.  With ``trim`` (``keep="endpoints"``) each
+    block is copied out of the level's mix matrix, so freeing the
+    interior blocks frees the matrix; otherwise blocks stay views.
+    """
+    level = compiled.levels[li]
+    b = len(models)
+    profile = ctx.profile
+    for record in level:
+        gate = record.gate
+        prob4[gate.name] = gate_prob4(
+            gate.gate_type, [prob4[src] for src in gate.inputs])
+
+    with profile.phase("subset-eval"):
+        prep = _prepare_blocks(compiled.level_nets[li], blocks, b,
+                               ctx.grid.dt)
+        pending: List[_ControllingJob] = []
+        templates: Optional[List[_SubsetTemplate]] = (
+            None if any_mis else [])
+        gate_dirs: List[Tuple[str, Tuple[object, object]]] = []
+        for record in level:
+            gate_dirs.append(
+                (record.gate.name,
+                 _phase_a_gate(record, prob4, weights, prep, models,
+                               b, ctx, pending, templates, gate_delays)))
+        # Each stage's arrays are dropped once the next stage holds what
+        # it needs: the largest level's live set is the run's peak memory.
+        del prep
+        if templates:
+            _run_subset_templates(templates, b, ctx)
+        _run_controlling_jobs(pending, ctx)
+
+        # Phase B layout: (gate, direction)-major, scenario-minor —
+        # each occurring direction owns B consecutive segments.
+        rows: List[np.ndarray] = []
+        delays: List[Normal] = []
+        counts: List[int] = []
+        expected: List[float] = []
+        order: List[Tuple[str, int]] = []
+        ones_b = [1] * b
+        for name, dirs in gate_dirs:
+            for direction, items in enumerate(dirs):
+                if items is None:
+                    weights[(name, direction)] = 0.0
+                    blocks[(name, direction)] = None
+                    continue
+                if isinstance(items, _SubsetTemplate):
+                    items = items.items
+                if isinstance(items, _DirBlock):
+                    rows.append(items.block)
+                    delays.extend(items.delays)
+                    counts.extend(ones_b)
+                    expected.extend([items.expected] * b)
+                    weights[(name, direction)] = items.total
+                    order.append((name, direction))
+                    continue
+                total = None
+                for item in items:
+                    if isinstance(item, _ControllingJob):
+                        seg_total = item.total
+                        seg_expected = item.total
+                        dir_rows = list(item.acc.values())
+                    else:
+                        seg_total, seg_expected, dir_rows = item
+                    counts.append(len(dir_rows))
+                    expected.append(seg_expected)
+                    for delay, row in dir_rows:
+                        delays.append(delay)
+                        rows.append(row)
+                    if total is None:
+                        total = seg_total
+                weights[(name, direction)] = total
+                order.append((name, direction))
+        del gate_dirs, pending, templates
+
+    if not rows:
+        return
+    with profile.phase("convolve"):
+        matrix = np.vstack(rows)
+        del rows
+        out = _convolve_matrix(matrix, delays, ctx)
+        del matrix
+    with profile.phase("mix"):
+        mixed = _mix_rows(out, counts, np.asarray(expected), ctx)
+        del out
+    seg = 0
+    for name, direction in order:
+        block = mixed[seg:seg + b]
+        blocks[(name, direction)] = block.copy() if trim else block
+        seg += b
+
+
 def _prepare_blocks(nets: Sequence[str], blocks: _Blocks, b: int,
                     dt: float) -> Dict[Tuple[str, int],
                                        Tuple[np.ndarray, np.ndarray]]:
     """Normalize every referenced block of a level in one stacked pass.
 
-    The batched analogue of ``_prepare_nets``: all ``(scenario, bin)``
-    rows of all referenced net directions vstack into one matrix for
-    normalization and CDF accumulation — the per-row math is identical,
-    each net direction just contributes B rows instead of one.
+    All ``(scenario, bin)`` rows of all referenced net directions vstack
+    into one matrix for normalization and CDF accumulation, so each net
+    pays once per level regardless of fanout (the naive path
+    re-normalizes and re-integrates operands inside every pairwise MAX).
     """
     slots: List[Tuple[str, int]] = []
     stacks: List[np.ndarray] = []
@@ -659,8 +697,8 @@ def _phase_a_gate(record: GateRecord, prob4: Mapping[str, Prob4],
             dirs = (dirs[1], dirs[0])
         return dirs
     if record.kind == KIND_PARITY:
-        # spec.inverting is applied inside the parity enumeration (as in
-        # _grid_parity), so no swap here.
+        # spec.inverting is applied inside the parity enumeration, so no
+        # swap here.
         in_probs = [prob4[src] for src in gate.inputs]
         entry_blocks = [_parity_entry(src, weights, prep)
                         for src in gate.inputs]
@@ -747,8 +785,11 @@ class _DirBlock:
 
 def _copy_items(gate: Gate, weights, prep, delay_fors,
                 b: int) -> Tuple[_DirItems, _DirItems]:
-    """BUFF/NOT: one normalized row per scenario per occurring direction
-    (expected post-convolution mass 1.0, as in ``_grid_gate_items``)."""
+    """BUFF/NOT: one normalized row per scenario per occurring direction.
+
+    A single term per direction: the final per-segment normalization is
+    scale-invariant, so no retention correction is needed and the row
+    stays a normalized pdf (expected post-convolution mass 1.0)."""
     src = gate.inputs[0]
     dirs: List[_DirItems] = []
     for d in (0, 1):
@@ -767,13 +808,16 @@ def _batched_parity(record: GateRecord, in_probs: Sequence[Prob4],
                     entry_blocks: Sequence[tuple], delay_fors, b: int,
                     ctx: _GridContext, mis: bool = True
                     ) -> Tuple[_DirItems, _DirItems]:
-    """Cross-scenario parity (XOR/XNOR) enumeration.
+    """Cross-scenario parity (XOR/XNOR) enumeration via 3^k prefixes.
 
-    The 3^k prefix recursion of ``_grid_parity`` with ``(scenario, bin)``
-    blocks in place of single rows: the enumeration tree and its parity
-    weights depend only on the group's statistics, so the recursion runs
-    once per gate and every MAX fold processes all scenarios as one
-    stacked row operation (identical per-row math).
+    Equivalent to the naive 4^k four-value enumeration: non-switching
+    inputs collapse into an (even, odd) static-ones parity weight pair,
+    switching inputs extend a shared MAX-fold prefix.  The output
+    direction follows the initial-value parity (falls start at 1),
+    inverted for XNOR.  The enumeration tree and its parity weights
+    depend only on the group's statistics, so the recursion runs once
+    per gate and every MAX fold processes all scenarios' ``(scenario,
+    bin)`` blocks as one stacked row operation.
     """
     spec = record.spec
     k = len(in_probs)
@@ -997,12 +1041,12 @@ def _run_subset_templates(templates: Sequence[_SubsetTemplate], b: int,
     """Stacked subset DP + retention premix for a level's templates.
 
     The cross-scenario analogue of ``_run_controlling_jobs``: templates
-    sharing a lattice stack their scenarios' rows into one
-    ``(template*scenario, fanin, bins)`` array, the DP runs in
-    MAX_DP_ROWS-bounded chunks, and each row's single delay kernel turns
-    the retention premix into two einsums.  Per-row math matches the
-    job path exactly (``_subset_dp`` rows are independent); totals
-    replicate ``_finish_jobs``' naive mask-order summation.
+    sharing a lattice stack their scenarios' rows into
+    ``(template*scenario, fanin, bins)`` operand arrays one
+    MAX_DP_ROWS-bounded DP chunk at a time, and each row's single delay
+    kernel turns the retention premix into two einsums.  Per-row math
+    matches the job path exactly (``_subset_dp`` rows are independent);
+    totals replicate ``_finish_jobs``' naive mask-order summation.
     """
     dt = ctx.grid.dt
     n = ctx.grid.n
@@ -1013,36 +1057,33 @@ def _run_subset_templates(templates: Sequence[_SubsetTemplate], b: int,
         lat = subset_lattice(k)
         masks = (1 << k) - 1
         rows_total = len(group) * b
-        pdfs = np.empty((rows_total, k, n))
-        cdfs = np.empty((rows_total, k, n))
-        weight_rows = np.empty((rows_total, masks))
-        rstack = np.empty((rows_total, n))
-        rstack_memo: Dict[int, np.ndarray] = {}
-        for ti, t in enumerate(group):
-            lo = ti * b
-            hi = lo + b
-            for i in range(k):
-                pdfs[lo:hi, i] = t.pdf_blocks[i]
-                cdfs[lo:hi, i] = t.cdf_blocks[i]
-            weight_rows[lo:hi] = t.weights
-            # Templates of one group usually share a memoized kernel
-            # list (homogeneous base delays), so stack retentions once.
-            hit = rstack_memo.get(id(t.delays))
-            if hit is None:
-                hit = np.stack([ctx.retention(d) for d in t.delays])
-                rstack_memo[id(t.delays)] = hit
-            rstack[lo:hi] = hit
-        pre = np.empty((len(group) * b, n))
+        pre = np.empty((rows_total, n))
         # Chunk by element count, not row count: MAX_DP_ROWS bounds the
         # (rows, masks) node table for n=2048 grids, and coarser grids
         # afford proportionally more rows per DP call.
         chunk = max(1, (MAX_DP_ROWS * 2048) // (masks * n))
-        for lo in range(0, pdfs.shape[0], chunk):
-            hi = min(lo + chunk, pdfs.shape[0])
-            node_pdf, _ = _subset_dp(pdfs[lo:hi], cdfs[lo:hi], lat,
-                                     use_max, dt, ctx.profile)
-            w = weight_rows[lo:hi]
-            retained = np.einsum("rmn,rn->rm", node_pdf, rstack[lo:hi])
+        for lo in range(0, rows_total, chunk):
+            hi = min(lo + chunk, rows_total)
+            pdfs = np.empty((hi - lo, k, n))
+            cdfs = np.empty((hi - lo, k, n))
+            w = np.empty((hi - lo, masks))
+            rstack = np.empty((hi - lo, n))
+            # Copy the [lo, hi) slice of the template-major row order.
+            for ti in range(lo // b, (hi - 1) // b + 1):
+                t = group[ti]
+                s_lo = max(lo - ti * b, 0)
+                s_hi = min(hi - ti * b, b)
+                dst = slice(ti * b + s_lo - lo, ti * b + s_hi - lo)
+                for i in range(k):
+                    pdfs[dst, i] = t.pdf_blocks[i][s_lo:s_hi]
+                    cdfs[dst, i] = t.cdf_blocks[i][s_lo:s_hi]
+                w[dst] = t.weights
+                for r, delay in enumerate(t.delays[s_lo:s_hi], dst.start):
+                    rstack[r] = ctx.retention(delay)
+            node_pdf, _ = _subset_dp(pdfs, cdfs, lat, use_max, dt,
+                                     ctx.profile)
+            del pdfs, cdfs
+            retained = np.einsum("rmn,rn->rm", node_pdf, rstack)
             positive = w > 0.0
             if np.any(positive & (retained <= 0.0)):
                 raise ValueError("cannot normalize an empty density")
@@ -1051,11 +1092,12 @@ def _run_subset_templates(templates: Sequence[_SubsetTemplate], b: int,
             coef = np.where(positive, w
                             / np.where(retained > 0.0, retained, 1.0), 0.0)
             pre[lo:hi] = np.einsum("rm,rmn->rn", coef, node_pdf)
+            del node_pdf
         for ti, template in enumerate(group):
-            positive = np.nonzero(template.weights > 0.0)[0]
+            positive = template.weights[template.weights > 0.0].tolist()
             total = 0.0
-            for idx in positive:        # mask order, like _finish_jobs
-                total += template.weights[idx]
+            for weight in positive:     # mask order, like _finish_jobs
+                total += weight
             template.items = _DirBlock(total, total, template.delays,
                                        pre[ti * b:(ti + 1) * b])
-            ctx.profile.subset_terms += positive.size * b
+            ctx.profile.subset_terms += len(positive) * b

@@ -324,7 +324,6 @@ def run_spsta(netlist: Netlist,
               algebra: Optional[TopAlgebra[D]] = None,
               *,
               engine: str = "fast",
-              workers: int = 1,
               profile: Optional[SpstaProfile] = None,
               max_parity_fanin: Optional[int] = None,
               seed_tops: Optional[
@@ -336,16 +335,18 @@ def run_spsta(netlist: Netlist,
     (the paper's setup) or a per-launch-point mapping.  ``algebra`` selects
     the TOP abstraction (default: :class:`MomentAlgebra`).
 
-    ``engine`` selects the propagation engine: ``"fast"`` (default) is the
-    levelized engine of :mod:`repro.core.spsta_fast` — subset-weight-table
-    caching, subset-lattice MAX/MIN sharing, and (for :class:`GridAlgebra`)
-    batched array kernels with cached FFT delay convolution; ``"naive"`` is
-    the original per-gate reference sweep.  Both produce the same results
-    (bit-exact for :class:`MomentAlgebra`; within discretization rounding
-    for :class:`GridAlgebra` — see ``tests/test_spsta_fastpath.py``).
+    ``engine`` selects the propagation engine: ``"fast"`` (default) compiles
+    the netlist and runs it through the compiled level walker of
+    :mod:`repro.core.scenario` as a batch of one scenario
+    (:mod:`repro.core.spsta_fast` — subset-weight-table caching,
+    subset-lattice MAX/MIN sharing, and for :class:`GridAlgebra` stacked
+    array kernels with cached FFT delay convolution); ``"naive"`` is the
+    original per-gate reference sweep that follows the paper directly.
+    Both produce the same results (bit-exact for :class:`MomentAlgebra`;
+    within discretization rounding for :class:`GridAlgebra` — see
+    ``tests/test_spsta_fastpath.py``).
 
-    ``workers`` (fast grid engine only) opts into a process pool that
-    splits each level across worker processes.  ``profile`` is an optional
+    ``profile`` is an optional
     :class:`~repro.core.profiling.SpstaProfile` populated during the run
     (one is always attached to the result).  ``max_parity_fanin`` overrides
     :data:`MAX_PARITY_FANIN`, the guard against the 4^k parity blowup.
@@ -363,7 +364,7 @@ def run_spsta(netlist: Netlist,
     if engine == "fast":
         from repro.core.spsta_fast import run_spsta_fast
         return run_spsta_fast(netlist, stats, delay_model, algebra,
-                              workers=workers, profile=profile,
+                              profile=profile,
                               max_parity_fanin=max_parity_fanin,
                               seed_tops=seed_tops)
     if engine != "naive":

@@ -1,7 +1,11 @@
-"""Levelized fast-path SPSTA engine.
+"""Fast-path SPSTA engine: the one-scenario case of the compiled walker.
 
 Same mathematics as :mod:`repro.core.spsta` (Eq. 11/12 subset enumeration
-over an abstract TOP algebra), restructured for speed:
+over an abstract TOP algebra), restructured for speed.
+:func:`run_spsta_fast` compiles the netlist once
+(:func:`~repro.core.scenario.compile_netlist`) and runs it through the
+compiled level walker of :mod:`repro.core.scenario` as a batch of one
+scenario; this module holds the kernels that walker drives:
 
 - **Subset-weight-table caching** — the per-mask probability products of
   Eq. 11 depend only on the candidates' (switch, static) probability
@@ -17,21 +21,17 @@ over an abstract TOP algebra), restructured for speed:
   direction).  Because every algebra folds its k-ary MAX left-to-right,
   the MAX over a subset equals ``max(MAX(subset minus top bit), top)``:
   dynamic programming over the precomputed subset lattice computes each
-  mask in ONE pairwise fold (2^k - 1 - k total) with identical results.
+  mask in ONE pairwise fold (2^k - 1 - k total) with identical results
+  (:func:`_gate_tops_generic` for the closed-form algebras,
+  :func:`_subset_dp` for stacked grid rows).
 
-- **Levelized batch propagation (grid algebra)** — gates are processed
-  level by level; within a level all conditional densities are stacked
-  into 2-D arrays so normalization, CDF accumulation, Eq. 3 MAX and the
-  Eq. 8 weighted-sum mix run as stacked array operations, delay
-  convolutions are grouped by kernel and dispatched as one batched FFT
-  (cached taps and kernel spectra via
-  :class:`~repro.stats.grid.KernelCache`), and an opt-in ``workers=``
-  process pool splits a level across processes.
-
-- **Parity prefix enumeration (grid algebra)** — XOR/XNOR joint
-  enumeration collapses the 4^k four-value assignments to the 3^k
-  (static / rise / fall) patterns, tracking the static-ones parity as an
-  (even, odd) weight pair and sharing MAX-fold prefixes.
+- **Stacked grid kernels** — within a level the walker stacks every
+  conditional density into 2-D arrays, so normalization, CDF
+  accumulation, Eq. 3 MAX and the Eq. 8 weighted-sum mix run as stacked
+  array operations (:func:`_mix_rows`), and delay convolutions are
+  grouped by kernel and dispatched as one batched FFT
+  (:func:`_convolve_matrix`, cached taps and kernel spectra via
+  :class:`~repro.stats.grid.KernelCache`).
 
 Differential equivalence with the naive engine is pinned by
 ``tests/test_spsta_fastpath.py``: bit-exact for :class:`MomentAlgebra`
@@ -44,7 +44,6 @@ the convolution loses no probability mass off the grid ends.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import (
@@ -61,14 +60,10 @@ from typing import (
 
 import numpy as np
 
-from repro.compat import trapezoid
 from repro.core.delay import DelayModel
 from repro.core.inputs import InputStats, Prob4
-from repro.core.probability import gate_prob4
 from repro.core.profiling import SpstaProfile
 from repro.core.spsta import (
-    MAX_PARITY_FANIN,
-    GridAlgebra,
     NetTops,
     SpstaResult,
     TopAlgebra,
@@ -77,11 +72,8 @@ from repro.core.spsta import (
     _gate_tops,
     _harvest_kernel_counters,
     _mixed,
-    check_parity_fanin,
-    launch_tops,
-    validate_parity_fanins,
 )
-from repro.logic.gates import GateSpec, GateType, gate_spec
+from repro.logic.gates import GateType, gate_spec
 from repro.netlist.core import Gate, Netlist
 from repro.stats.grid import (
     MASS_WARN_FRACTION,
@@ -97,9 +89,6 @@ from repro.stats.grid import (
     trapezoid_rows,
 )
 from repro.stats.normal import Normal
-
-#: Below this many gates in a level, a worker pool is pure overhead.
-MIN_GATES_PER_WORKER = 4
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +266,18 @@ def _gate_tops_generic(gate: Gate, in_probs: Sequence[Prob4],
 
 
 # ---------------------------------------------------------------------------
-# Grid fast path: batched array kernels over raw density rows.
+# Grid kernels: batched array operations over raw density rows.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _GridContext:
-    """Everything one process needs to evaluate grid gates."""
+    """Everything the compiled walker needs to evaluate grid gates."""
 
     grid: TimeGrid
-    delay_model: DelayModel
     kernel_cache: KernelCache
     wcache: WeightTableCache
     parity_cap: int
     profile: SpstaProfile
-    conv_method: str = "auto"
 
     def __post_init__(self) -> None:
         self._retentions: Dict[tuple, np.ndarray] = {}
@@ -339,68 +326,15 @@ class _GridContext:
             prof.max_clip_fraction = worst
 
 
-#: Per-net prepared arrays, per direction: (weight, normalized pdf, cdf);
-#: pdf/cdf ``None`` when the transition never occurs.
-_PrepEntry = Tuple[float, Optional[np.ndarray], Optional[np.ndarray],
-                   float, Optional[np.ndarray], Optional[np.ndarray]]
-
-
-def _prepare_nets(net_table: Mapping[str, tuple],
-                  dt: float) -> Dict[str, _PrepEntry]:
-    """Normalize every referenced density once and precompute its CDF.
-
-    The naive path re-normalizes and re-integrates operands inside every
-    pairwise MAX; here each net pays once per level regardless of fanout.
-    Stacks all rows into one matrix so the normalization and cumulative
-    integral run as 2-D array ops.
-    """
-    rows: List[np.ndarray] = []
-    slots: List[Tuple[str, int]] = []
-    for net, (rw, rvals, fw, fvals) in net_table.items():
-        if rvals is not None:
-            slots.append((net, 0))
-            rows.append(rvals)
-        if fvals is not None:
-            slots.append((net, 1))
-            rows.append(fvals)
-    norm: Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]] = {}
-    if rows:
-        stack = np.vstack(rows)
-        ints = trapezoid_rows(stack, dt)
-        if np.any(ints <= 0.0):
-            raise ValueError("cannot normalize an empty density")
-        stack = stack / ints[:, None]
-        cdfs = cdf_rows(stack, dt)
-        for i, slot in enumerate(slots):
-            norm[slot] = (stack[i], cdfs[i])
-    prep: Dict[str, _PrepEntry] = {}
-    for net, (rw, rvals, fw, fvals) in net_table.items():
-        rpdf, rcdf = norm.get((net, 0), (None, None))
-        fpdf, fcdf = norm.get((net, 1), (None, None))
-        prep[net] = (rw, rpdf, rcdf, fw, fpdf, fcdf)
-    return prep
-
-
-#: One output direction of one gate before convolution/mix: the total
-#: occurrence weight, the integral the direction's convolved rows should
-#: sum to (the mass-conservation audit reference: 1.0 for a BUFF/NOT's
-#: single normalized row, the occurrence weight for retention-corrected
-#: subset/parity rows), plus one pre-mixed row per distinct delay kernel.
-#: The naive mix normalizes each *convolved* term, so each term's row is
-#: scaled by ``weight / retention`` (exact per-term convolution mass, via
-#: the retention vectors) before terms sharing a kernel are summed —
-#: convolution is linear, so convolving the group once equals convolving
-#: and normalizing every Eq. 11/12 term separately.
-_DirTerms = Optional[Tuple[float, float, List[Tuple[Normal, np.ndarray]]]]
-
-
 class _ControllingJob:
-    """One AND/OR-core gate direction whose subset DP is deferred.
+    """One AND/OR-core gate direction of one MIS-model scenario whose
+    subset DP is deferred.
 
-    Jobs from every gate of a level are grouped by ``(fanin, use_max)`` and
-    evaluated together in :func:`_run_controlling_jobs` as 3-D stacked array
-    ops — the per-gate Python/numpy dispatch overhead of running the subset
-    lattice once per gate dominates the s9234 profile otherwise.  After the
+    MIS-aware delay models pick a kernel per subset popcount, so these
+    directions cannot share the walker's one-kernel-per-row templates.
+    Jobs from every gate (and scenario) of a level are grouped by
+    ``(fanin, use_max)`` and evaluated together in
+    :func:`_run_controlling_jobs` as 3-D stacked array ops.  After the
     batched run, ``total`` holds the direction's occurrence weight and
     ``acc`` maps each distinct delay kernel to its pre-mixed row.
     """
@@ -420,45 +354,6 @@ class _ControllingJob:
         self.total = 0.0
         self.acc: Dict[Tuple[float, float],
                        Tuple[Normal, np.ndarray]] = {}
-
-
-def _controlling_jobs(spec: GateSpec, in_probs: Sequence[Prob4],
-                      prep_inputs: Sequence[tuple],
-                      delay_for: Callable[[int], Any],
-                      ctx: _GridContext,
-                      ) -> Tuple[Optional[_ControllingJob],
-                                 Optional[_ControllingJob]]:
-    """Build the two core-direction jobs of an AND/OR-core gate (or
-    ``None`` where the direction cannot occur)."""
-    is_and_core = spec.controlling_value == 0
-    jobs: List[Optional[_ControllingJob]] = []
-    for which, use_max in ((0, is_and_core), (1, not is_and_core)):
-        off = 0 if which == 0 else 3
-        candidates: List[int] = []
-        static_factor = 1.0
-        for i, p in enumerate(in_probs):
-            entry = prep_inputs[i]
-            sp = p.p_rise if which == 0 else p.p_fall
-            if sp > 0.0 and entry[off] > 0.0 and entry[off + 1] is not None:
-                candidates.append(i)
-            else:
-                static_factor *= p.p_one if is_and_core else p.p_zero
-        if static_factor <= 0.0 or not candidates:
-            jobs.append(None)
-            continue
-        switch = tuple((in_probs[i].p_rise if which == 0
-                        else in_probs[i].p_fall) for i in candidates)
-        static = tuple((in_probs[i].p_one if is_and_core
-                        else in_probs[i].p_zero) for i in candidates)
-        weights = static_factor * ctx.wcache.table(switch, static)
-        if not (weights > 0.0).any():
-            jobs.append(None)
-            continue
-        jobs.append(_ControllingJob(
-            len(candidates), use_max, weights,
-            [prep_inputs[i][off + 1] for i in candidates],
-            [prep_inputs[i][off + 2] for i in candidates], delay_for))
-    return jobs[0], jobs[1]
 
 
 #: Upper bound on batch-size × subset-count rows a chunked DP holds live;
@@ -566,59 +461,11 @@ def _run_controlling_chunk(batch: Sequence[_ControllingJob],
     # its node row, accumulating one pre-mixed row per distinct delay
     # kernel per job (convolution is linear, so one convolution of the
     # accumulated row equals convolving every Eq. 11 term separately).
+    # Each node row is normalized, so its post-convolution integral is its
+    # retention; the off-grid loss of mask `m` is w_m * (1 - r_m).
     weight_mat = np.stack([job.weights for job in batch])
     job_delays = [[job.delay_for(c) for c in range(1, k + 1)]
                   for job in batch]
-    distinct = {(d.mu, d.sigma) for ds in job_delays for d in ds}
-    if len(distinct) == 1:
-        # One kernel for every mask of every job (any constant-delay
-        # model): fold weights and retentions over the whole lattice in a
-        # single pass — no per-popcount gathers.
-        delay = job_delays[0][0]
-        retained = node_pdf @ ctx.retention(delay)        # (b, masks)
-        positive = weight_mat > 0.0
-        if np.any(positive & (retained <= 0.0)):
-            raise ValueError("cannot normalize an empty density")
-        # Each node row is normalized, so its post-convolution integral is
-        # its retention; the off-grid loss of mask `m` is w_m * (1 - r_m).
-        ctx.record_mass((weight_mat * (1.0 - retained))[positive],
-                        weight_mat[positive], "subset convolution")
-        coef = np.where(positive, weight_mat
-                        / np.where(retained > 0.0, retained, 1.0), 0.0)
-        rows_all = np.einsum("jm,jmn->jn", coef, node_pdf)
-        key = (delay.mu, delay.sigma)
-        for j, job in enumerate(batch):
-            job.acc[key] = (delay, rows_all[j])
-        _finish_jobs(batch, ctx)
-        return
-    uniform: List[Optional[Normal]] = []
-    for ds in job_delays:
-        first = ds[0]
-        if all(d.mu == first.mu and d.sigma == first.sigma for d in ds):
-            uniform.append(first)
-        else:
-            uniform.append(None)
-            break
-    if len(uniform) == b and all(d is not None for d in uniform):
-        # Each job keeps one kernel across all its masks but kernels
-        # differ between jobs (constant-delay models in a multi-scenario
-        # batch): one per-job retention row replaces the per-popcount
-        # per-kernel gathers below.
-        rstack = np.stack([ctx.retention(d) for d in uniform])
-        retained = np.einsum("jmn,jn->jm", node_pdf, rstack)
-        positive = weight_mat > 0.0
-        if np.any(positive & (retained <= 0.0)):
-            raise ValueError("cannot normalize an empty density")
-        ctx.record_mass((weight_mat * (1.0 - retained))[positive],
-                        weight_mat[positive], "subset convolution")
-        coef = np.where(positive, weight_mat
-                        / np.where(retained > 0.0, retained, 1.0), 0.0)
-        rows_all = np.einsum("jm,jmn->jn", coef, node_pdf)
-        for j, job in enumerate(batch):
-            delay = uniform[j]
-            job.acc[(delay.mu, delay.sigma)] = (delay, rows_all[j])
-        _finish_jobs(batch, ctx)
-        return
     for c_idx in range(k):
         sel = lat.by_pop[c_idx]
         w = weight_mat[:, sel]
@@ -658,150 +505,19 @@ def _finish_jobs(batch: Sequence[_ControllingJob],
                  ctx: _GridContext) -> None:
     """Total occurrence weight (in naive mask order) and term counters."""
     for job in batch:
-        positive = np.nonzero(job.weights > 0.0)[0]
+        positive = job.weights[job.weights > 0.0].tolist()
         total = 0.0
-        for idx in positive:            # mask order, like the naive mix
-            total += job.weights[idx]
+        for weight in positive:         # mask order, like the naive mix
+            total += weight
         job.total = total
-        ctx.profile.subset_terms += positive.size
-
-
-def _grid_parity(gate: Gate, spec: GateSpec, in_probs, prep_inputs,
-                 delay_for, ctx: _GridContext
-                 ) -> Tuple[_DirTerms, _DirTerms]:
-    """Parity (XOR/XNOR) TOPs on raw rows via 3^k prefix enumeration.
-
-    Equivalent to the naive 4^k four-value enumeration: non-switching
-    inputs collapse into an (even, odd) static-ones parity weight pair,
-    switching inputs extend a shared MAX-fold prefix.  The output direction
-    follows the initial-value parity (falls start at 1), inverted for XNOR.
-    """
-    k = len(in_probs)
-    check_parity_fanin(k, ctx.parity_cap)
-    dt = ctx.grid.dt
-    rise_terms: List[Tuple[float, int, np.ndarray]] = []
-    fall_terms: List[Tuple[float, int, np.ndarray]] = []
-
-    options = []
-    for i, p in enumerate(in_probs):
-        entry = prep_inputs[i]
-        options.append((
-            p,
-            (entry[1], entry[2]) if (p.p_rise > 0.0 and entry[0] > 0.0
-                                     and entry[1] is not None) else None,
-            (entry[4], entry[5]) if (p.p_fall > 0.0 and entry[3] > 0.0
-                                     and entry[4] is not None) else None,
-        ))
-
-    def fold(state: Optional[Tuple[np.ndarray, np.ndarray]],
-             cond: Tuple[np.ndarray, np.ndarray],
-             ) -> Tuple[np.ndarray, np.ndarray]:
-        # State: (normalized pdf, cdf) of the shared MAX-fold prefix.
-        if state is None:
-            return cond
-        pa, ca = state
-        pb, cb = cond
-        raw = pa * cb + pb * ca
-        ints = float(trapezoid(raw, dx=dt))
-        if ints <= 0.0:
-            raise ValueError("cannot normalize an empty density")
-        pdf = raw / ints
-        ctx.profile.max_folds += 1
-        return pdf, cdf_rows(pdf[np.newaxis, :], dt)[0]
-
-    def recurse(i: int, even_w: float, odd_w: float,
-                state: Optional[Tuple[np.ndarray, np.ndarray]],
-                n_switch: int) -> None:
-        if even_w <= 0.0 and odd_w <= 0.0:
-            return
-        if i == k:
-            if n_switch == 0 or n_switch % 2 == 0:
-                return
-            row = state[0]
-            rise_w, fall_w = ((even_w, odd_w) if not spec.inverting
-                              else (odd_w, even_w))
-            if rise_w > 0.0:
-                rise_terms.append((rise_w, n_switch, row))
-            if fall_w > 0.0:
-                fall_terms.append((fall_w, n_switch, row))
-            return
-        p, rise_cond, fall_cond = options[i]
-        # Static 0 keeps the parity, static 1 flips it.
-        recurse(i + 1, even_w * p.p_zero + odd_w * p.p_one,
-                even_w * p.p_one + odd_w * p.p_zero, state, n_switch)
-        if rise_cond is not None:   # rise starts at 0: parity unchanged
-            recurse(i + 1, even_w * p.p_rise, odd_w * p.p_rise,
-                    fold(state, rise_cond), n_switch + 1)
-        if fall_cond is not None:   # fall starts at 1: parity flips
-            recurse(i + 1, odd_w * p.p_fall, even_w * p.p_fall,
-                    fold(state, fall_cond), n_switch + 1)
-
-    recurse(0, 1.0, 0.0, None, 0)
-    ctx.profile.parity_terms += len(rise_terms) + len(fall_terms)
-
-    def collapse(terms: List[Tuple[float, int, np.ndarray]]) -> _DirTerms:
-        if not terms:
-            return None
-        total = 0.0
-        acc: Dict[Tuple[float, float], Tuple[Normal, np.ndarray]] = {}
-        for w, pop, row in terms:
-            total += w
-            delay = delay_for(pop)
-            retained = float(row @ ctx.retention(delay))
-            if retained <= 0.0:
-                raise ValueError("cannot normalize an empty density")
-            ctx.record_mass(w * (1.0 - retained), w, "parity convolution")
-            contrib = (w / retained) * row
-            key = (delay.mu, delay.sigma)
-            prev = acc.get(key)
-            acc[key] = (delay, contrib if prev is None
-                        else prev[1] + contrib)
-        return total, total, list(acc.values())
-
-    return collapse(rise_terms), collapse(fall_terms)
-
-
-def _grid_gate_items(gate: Gate, in_probs: Sequence[Prob4],
-                     prep_inputs: Sequence[tuple],
-                     ctx: _GridContext) -> Tuple[Any, Any]:
-    """Phase A dispatch for one gate: per-direction rows, or deferred jobs.
-
-    BUFF/NOT and parity gates resolve immediately to ``_DirTerms``;
-    AND/OR-core gates return :class:`_ControllingJob` placeholders whose
-    rows are filled by the cross-gate batched DP.
-    """
-    spec = gate_spec(gate.gate_type)
-    delay_for = _delay_for(ctx.delay_model, gate)
-    if gate.gate_type in (GateType.BUFF, GateType.NOT):
-        # A single term per direction: the final per-segment normalization
-        # is scale-invariant, so no retention correction is needed and the
-        # row stays a normalized pdf (expected post-convolution mass 1.0).
-        entry = prep_inputs[0]
-        delay = delay_for(1)
-        rise: _DirTerms = ((entry[0], 1.0, [(delay, entry[1])])
-                           if entry[1] is not None and entry[0] > 0.0
-                           else None)
-        fall: _DirTerms = ((entry[3], 1.0, [(delay, entry[4])])
-                           if entry[4] is not None and entry[3] > 0.0
-                           else None)
-        if gate.gate_type is GateType.NOT:
-            rise, fall = fall, rise
-        return rise, fall
-    if spec.is_parity:
-        return _grid_parity(gate, spec, in_probs, prep_inputs, delay_for, ctx)
-    rise, fall = _controlling_jobs(spec, in_probs, prep_inputs, delay_for,
-                                   ctx)
-    if spec.inverting:
-        rise, fall = fall, rise
-    return rise, fall
+        ctx.profile.subset_terms += len(positive)
 
 
 def _convolve_matrix(matrix: np.ndarray, delays: Sequence[Normal],
                      ctx: _GridContext) -> np.ndarray:
     """Delay-convolve a stack of rows, grouped by kernel (phase B, part 1).
 
-    ``delays[i]`` is the kernel of ``matrix[i]``.  Shared by the per-level
-    sweep and the scenario-batched backend: each row is convolved
+    ``delays[i]`` is the kernel of ``matrix[i]``.  Each row is convolved
     independently, so callers may stack rows from any mix of gates,
     directions, and scenarios.
     """
@@ -828,19 +544,13 @@ def _convolve_matrix(matrix: np.ndarray, delays: Sequence[Normal],
             res = shift_rows(src, int(mu))
             profile.shift_rows += src.shape[0]
         else:
+            # Always FFT: engine batches are nearly always past the
+            # direct/FFT crossover, and a fixed choice keeps results
+            # independent of how rows are batched (FFT and direct differ
+            # by ~1e-16 per bin).
             kernel = ctx.kernel_cache.kernel(Normal(mu, sigma))
-            method = ctx.conv_method
-            if method == "auto":
-                # Always FFT: engine batches are nearly always past the
-                # direct/FFT crossover, and a fixed choice keeps results
-                # independent of how a level is chunked across workers
-                # (FFT and direct differ by ~1e-16 per bin).
-                method = "fft"
-            res = convolve_rows(src, kernel, method)
-            if method == "fft":
-                profile.fft_convolutions += src.shape[0]
-            else:
-                profile.direct_convolutions += src.shape[0]
+            res = convolve_rows(src, kernel, "fft")
+            profile.fft_convolutions += src.shape[0]
         if single:
             out = res
         else:
@@ -848,16 +558,8 @@ def _convolve_matrix(matrix: np.ndarray, delays: Sequence[Normal],
     return out
 
 
-#: Optional replacement for the run-length segment summation inside
-#: :func:`_mix_rows` — ``(rows, counts) -> (len(counts), n)``.  The
-#: scenario backend injects a numba-jitted kernel here when the feature
-#: flag enables it (see :mod:`repro.core.scenario_jit`).
-_SegmentSum = Callable[[np.ndarray, Sequence[int]], np.ndarray]
-
-
 def _mix_rows(out: np.ndarray, counts: Sequence[int],
-              expected: np.ndarray, ctx: _GridContext,
-              segment_sum: Optional[_SegmentSum] = None) -> np.ndarray:
+              expected: np.ndarray, ctx: _GridContext) -> np.ndarray:
     """Eq. 8 mix of convolved rows into per-segment densities (phase B,
     part 2).
 
@@ -874,24 +576,20 @@ def _mix_rows(out: np.ndarray, counts: Sequence[int],
     n = ctx.grid.n
     np.maximum(out, 0.0, out=out)
     n_seg = len(counts)
-    if segment_sum is not None:
-        mixed = segment_sum(out, counts)
-    else:
-        mixed = np.empty((n_seg, n))
-        seg = pos = 0
-        while seg < n_seg:
-            count = counts[seg]
-            run = seg + 1
-            while run < n_seg and counts[run] == count:
-                run += 1
-            block = out[pos:pos + (run - seg) * count]
-            if count == 1:
-                mixed[seg:run] = block
-            else:
-                mixed[seg:run] = block.reshape(run - seg, count,
-                                               n).sum(axis=1)
-            pos += (run - seg) * count
-            seg = run
+    mixed = np.empty((n_seg, n))
+    seg = pos = 0
+    while seg < n_seg:
+        count = counts[seg]
+        run = seg + 1
+        while run < n_seg and counts[run] == count:
+            run += 1
+        block = out[pos:pos + (run - seg) * count]
+        if count == 1:
+            mixed[seg:run] = block
+        else:
+            mixed[seg:run] = block.reshape(run - seg, count, n).sum(axis=1)
+        pos += (run - seg) * count
+        seg = run
     ints = trapezoid_rows(mixed, dt)
     if np.any(ints <= 0.0):
         raise ValueError("cannot normalize an empty density")
@@ -910,125 +608,12 @@ def _mix_rows(out: np.ndarray, counts: Sequence[int],
     return mixed
 
 
-#: Worker/parent result for one gate: name plus per-direction
-#: (weight, conditional values) with ``None`` for absent transitions.
-_GateArrays = Tuple[str,
-                    Optional[Tuple[float, np.ndarray]],
-                    Optional[Tuple[float, np.ndarray]]]
-
-
-def _grid_process_gates(net_table: Mapping[str, tuple],
-                        gates: Sequence[Tuple[Gate, Tuple[Prob4, ...]]],
-                        ctx: _GridContext) -> List[_GateArrays]:
-    """Phases A+B for a set of independent (same-level) gates.
-
-    Phase A walks the gates in Python but produces only raw weighted rows,
-    deferring every AND/OR-core subset DP into jobs that run as cross-gate
-    3-D batches; phase B stacks every row of the set into one 2-D matrix,
-    convolves kernel groups in batched FFT calls, and mixes/normalizes all
-    segments with run-length batched sums — the levelized stacked-array
-    core of the engine.  Chunking a level across workers changes only how
-    rows are grouped into matrices, never which operations touch a row, so
-    worker counts leave results unchanged up to elementwise-division
-    rounding (a few ULPs; see :func:`_run_controlling_jobs`).
-    """
-    grid = ctx.grid
-    dt = grid.dt
-    profile = ctx.profile
-    with profile.phase("subset-eval"):
-        prep = _prepare_nets(net_table, dt)
-        entries: List[Tuple[int, int, object]] = []   # gate, dir, terms/job
-        pending: List[_ControllingJob] = []
-        for gate_idx, (gate, in_probs) in enumerate(gates):
-            prep_inputs = [prep[src] for src in gate.inputs]
-            for direction, item in enumerate(
-                    _grid_gate_items(gate, in_probs, prep_inputs, ctx)):
-                if item is None:
-                    continue
-                entries.append((gate_idx, direction, item))
-                if isinstance(item, _ControllingJob):
-                    pending.append(item)
-        _run_controlling_jobs(pending, ctx)
-        rows: List[np.ndarray] = []
-        delays: List[Normal] = []
-        # Per direction: gate, dir, start row, occurrence weight, and the
-        # integral its convolved rows should sum to (mass audit reference).
-        segments: List[Tuple[int, int, int, float, float]] = []
-        for gate_idx, direction, item in entries:
-            if isinstance(item, _ControllingJob):
-                total = item.total
-                expected = total
-                dir_rows = list(item.acc.values())
-            else:
-                total, expected, dir_rows = item
-            segments.append((gate_idx, direction, len(rows), total, expected))
-            for delay, row in dir_rows:
-                rows.append(row)
-                delays.append(delay)
-    if not rows:
-        return [(gate.name, None, None) for gate, _ in gates]
-
-    with profile.phase("convolve"):
-        out = _convolve_matrix(np.vstack(rows), delays, ctx)
-
-    with profile.phase("mix"):
-        n_seg = len(segments)
-        counts = [0] * n_seg
-        for idx in range(n_seg - 1):
-            counts[idx] = segments[idx + 1][2] - segments[idx][2]
-        counts[-1] = out.shape[0] - segments[-1][2]
-        expected = np.array([seg[4] for seg in segments])
-        mixed = _mix_rows(out, counts, expected, ctx)
-
-    results: List[List[Optional[Tuple[float, np.ndarray]]]] = [
-        [None, None] for _ in gates]
-    for seg_idx, (gate_idx, direction, _, total, _) in enumerate(segments):
-        results[gate_idx][direction] = (total, mixed[seg_idx])
-    return [(gates[i][0].name, results[i][0], results[i][1])
-            for i in range(len(gates))]
-
-
-# ---------------------------------------------------------------------------
-# Worker pool plumbing (opt-in, grid algebra only).
-# ---------------------------------------------------------------------------
-
-_WORKER_CTX: Optional[_GridContext] = None
-
-
-def _grid_worker_init(grid_params: Tuple[float, float, int],
-                      delay_model: DelayModel, parity_cap: int,
-                      conv_method: str) -> None:
-    global _WORKER_CTX
-    grid = TimeGrid(*grid_params)
-    _WORKER_CTX = _GridContext(grid=grid, delay_model=delay_model,
-                               kernel_cache=KernelCache(grid),
-                               wcache=WeightTableCache(),
-                               parity_cap=parity_cap,
-                               profile=SpstaProfile(),
-                               conv_method=conv_method)
-
-
-_WORK_COUNTERS = ("subset_terms", "parity_terms", "max_folds",
-                  "fft_convolutions", "direct_convolutions", "shift_rows",
-                  "mass_checks", "clipped_mass", "clip_events",
-                  "finite_checks")
-
-
-def _grid_worker_chunk(
-    payload: Tuple[Mapping[str, tuple],
-                   Sequence[Tuple[Gate, Tuple[Prob4, ...]]]],
-) -> Tuple[List[_GateArrays], Dict[str, int], float]:
-    """Process one chunk of a level in a worker; returns results plus the
-    work-counter deltas for the parent profile (cache hit/miss counters
-    stay per-process).  ``max_clip_fraction`` rides along as a running
-    maximum rather than a delta."""
-    ctx = _WORKER_CTX
-    net_table, gates = payload
-    before = {name: getattr(ctx.profile, name) for name in _WORK_COUNTERS}
-    results = _grid_process_gates(net_table, gates, ctx)
-    deltas = {name: getattr(ctx.profile, name) - before[name]
-              for name in _WORK_COUNTERS}
-    return results, deltas, ctx.profile.max_clip_fraction
+def _wrap_top(grid: TimeGrid,
+              info: Optional[Tuple[float, np.ndarray]]) -> TopFunction:
+    if info is None:
+        return TopFunction.absent()
+    weight, values = info
+    return TopFunction(weight, GridDensity.from_trusted(grid, values))
 
 
 # ---------------------------------------------------------------------------
@@ -1040,133 +625,37 @@ def run_spsta_fast(netlist: Netlist,
                    delay_model: DelayModel,
                    algebra: TopAlgebra,
                    *,
-                   workers: int = 1,
                    profile: Optional[SpstaProfile] = None,
                    max_parity_fanin: Optional[int] = None,
                    seed_tops: Optional[
                        Mapping[str, Tuple[Prob4, NetTops]]] = None,
                    ) -> SpstaResult:
-    """Levelized fast SPSTA sweep (see module docstring).
+    """Fast SPSTA sweep: the compiled walker run as a batch of one.
 
     Called through ``run_spsta(..., engine="fast")``; not meant to be
-    invoked directly.  ``seed_tops`` pre-seeds boundary launch points
-    (see :func:`repro.core.spsta.run_spsta`).
+    invoked directly.  Compiles ``netlist`` and executes the single
+    scenario ``(stats, delay_model)`` through
+    :mod:`repro.core.scenario`'s level walker — the same code
+    :func:`~repro.core.scenario.run_scenario_batch` runs for N scenarios.
+    ``seed_tops`` pre-seeds boundary launch points (see
+    :func:`repro.core.spsta.run_spsta`).
     """
+    # Imported here: the walker module builds on this module's kernels.
+    from repro.core.scenario import _run_group, compile_netlist
+
     if profile is None:
         profile = SpstaProfile()
     profile.engine = "fast"
     profile.algebra = type(algebra).__name__
     profile.circuit = netlist.name
-    profile.workers = workers
-    parity_cap = (MAX_PARITY_FANIN if max_parity_fanin is None
-                  else max_parity_fanin)
-    validate_parity_fanins(netlist, parity_cap)
-    wcache = WeightTableCache()
-
-    prob4: Dict[str, Prob4] = {}
-    tops: Dict[str, NetTops] = {}
     with profile.phase("levelize"):
-        levels = netlist.levels
-    profile.levels = len(levels)
-    with profile.phase("launch"):
-        launch_tops(netlist, stats, algebra, prob4, tops, seeds=seed_tops)
-
-    if isinstance(algebra, GridAlgebra):
-        _propagate_grid(netlist, levels, prob4, tops, delay_model, algebra,
-                        wcache, parity_cap, workers, profile)
-    else:
-        with profile.phase("propagate"):
-            for level in levels:
-                for gate in level:
-                    in_probs = [prob4[src] for src in gate.inputs]
-                    in_tops = [tops[src] for src in gate.inputs]
-                    prob4[gate.name] = gate_prob4(gate.gate_type, in_probs)
-                    tops[gate.name] = _gate_tops_generic(
-                        gate, in_probs, in_tops, delay_model, algebra,
-                        wcache, parity_cap, profile)
-                    profile.gates_processed += 1
-
+        compiled = compile_netlist(netlist,
+                                   max_parity_fanin=max_parity_fanin)
+    profile.levels = len(compiled.levels)
+    wcache = WeightTableCache()
+    [(prob4, tops)] = _run_group(compiled, stats, [delay_model], algebra,
+                                 wcache, profile, seed_tops=seed_tops)
     profile.weight_table_hits = wcache.hits
     profile.weight_table_misses = wcache.misses
     _harvest_kernel_counters(algebra, profile)
     return SpstaResult(netlist.name, algebra, prob4, tops, profile)
-
-
-def _propagate_grid(netlist: Netlist, levels, prob4, tops, delay_model,
-                    algebra: GridAlgebra, wcache: WeightTableCache,
-                    parity_cap: int, workers: int,
-                    profile: SpstaProfile) -> None:
-    """Level-by-level batched sweep for the grid algebra."""
-    grid = algebra.grid
-    ctx = _GridContext(grid=grid, delay_model=delay_model,
-                       kernel_cache=algebra.kernel_cache, wcache=wcache,
-                       parity_cap=parity_cap, profile=profile)
-    pool: Optional[ProcessPoolExecutor] = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_grid_worker_init,
-            initargs=((grid.start, grid.stop, grid.n), delay_model,
-                      parity_cap, ctx.conv_method))
-    try:
-        for level in levels:
-            gates: List[Tuple[Gate, Tuple[Prob4, ...]]] = []
-            net_table: Dict[str, tuple] = {}
-            for gate in level:
-                in_probs = tuple(prob4[src] for src in gate.inputs)
-                prob4[gate.name] = gate_prob4(gate.gate_type, in_probs)
-                gates.append((gate, in_probs))
-                for src in gate.inputs:
-                    if src not in net_table:
-                        t = tops[src]
-                        net_table[src] = (
-                            t.rise.weight,
-                            t.rise.conditional.values if t.rise.occurs
-                            else None,
-                            t.fall.weight,
-                            t.fall.conditional.values if t.fall.occurs
-                            else None)
-            if (pool is not None
-                    and len(gates) >= workers * MIN_GATES_PER_WORKER):
-                results = _run_level_in_pool(pool, net_table, gates, workers,
-                                             profile)
-            else:
-                results = _grid_process_gates(net_table, gates, ctx)
-            for name, rise_info, fall_info in results:
-                tops[name] = NetTops(_wrap_top(grid, rise_info),
-                                     _wrap_top(grid, fall_info))
-                profile.gates_processed += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
-def _wrap_top(grid: TimeGrid,
-              info: Optional[Tuple[float, np.ndarray]]) -> TopFunction:
-    if info is None:
-        return TopFunction.absent()
-    weight, values = info
-    return TopFunction(weight, GridDensity.from_trusted(grid, values))
-
-
-def _run_level_in_pool(pool: ProcessPoolExecutor,
-                       net_table: Mapping[str, tuple],
-                       gates: Sequence[Tuple[Gate, Tuple[Prob4, ...]]],
-                       workers: int,
-                       profile: SpstaProfile) -> List[_GateArrays]:
-    """Split one level across the pool; merge work counters back."""
-    chunk_size = max(1, (len(gates) + workers - 1) // workers)
-    futures = []
-    for start in range(0, len(gates), chunk_size):
-        chunk = gates[start:start + chunk_size]
-        chunk_nets = {src: net_table[src]
-                      for gate, _ in chunk for src in gate.inputs}
-        futures.append(pool.submit(_grid_worker_chunk, (chunk_nets, chunk)))
-    results = []
-    for future in futures:
-        chunk_results, deltas, worker_max_clip = future.result()
-        results.extend(chunk_results)
-        for name, delta in deltas.items():
-            setattr(profile, name, getattr(profile, name) + delta)
-        profile.max_clip_fraction = max(profile.max_clip_fraction,
-                                        worker_max_clip)
-    return results

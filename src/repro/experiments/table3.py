@@ -64,7 +64,6 @@ def run_table3(config: InputStats,
                shards: int = 1,
                workers: int = 1,
                engine: str = "fast",
-               spsta_workers: int = 1,
                profile: bool = False,
                retry: Optional[RetryPolicy] = None,
                deadline: Optional[float] = None,
@@ -76,13 +75,13 @@ def run_table3(config: InputStats,
     extrapolated to ``n_trials`` for the ``mc_scalar_seconds`` column
     (0 disables the probe).  ``mc_mode="stream"`` times the sharded
     streaming engine instead and records its per-shard timing/memory
-    counters in ``mc_shard_summary``.  ``engine``/``spsta_workers`` select
-    the SPSTA propagation engine and its process pool; ``profile=True``
-    records each SPSTA run's phase timings and work counters into
-    ``spsta_profile_summary``.  ``retry``/``deadline``/``checkpoint_dir``/
-    ``resume`` apply the streaming engine's fault tolerance per circuit
-    (one checkpoint subdirectory each); note a resumed run's
-    ``mc_seconds`` times only the shards that still had to execute.
+    counters in ``mc_shard_summary``.  ``engine`` selects the SPSTA
+    propagation engine; ``profile=True`` records each SPSTA run's phase
+    timings and work counters into ``spsta_profile_summary``.
+    ``retry``/``deadline``/``checkpoint_dir``/``resume`` apply the
+    streaming engine's fault tolerance per circuit (one checkpoint
+    subdirectory each); note a resumed run's ``mc_seconds`` times only
+    the shards that still had to execute.
     """
     rows: List[RuntimeRow] = []
     for name in circuits:
@@ -90,7 +89,7 @@ def run_table3(config: InputStats,
         spsta_profile = SpstaProfile() if profile else None
         t0 = time.perf_counter()
         run_spsta(netlist, config, delay_model, engine=engine,
-                  workers=spsta_workers, profile=spsta_profile)
+                  profile=spsta_profile)
         t1 = time.perf_counter()
         run_ssta(netlist, delay_model)
         t2 = time.perf_counter()

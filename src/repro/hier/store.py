@@ -1,7 +1,8 @@
 """Disk cache of :class:`~repro.hier.model.InterfaceModel` payloads.
 
 Mirrors the PR 5 checkpoint machinery (:mod:`repro.sim.checkpoint`):
-every write is atomic (temp file + fsync + ``os.replace``), the manifest
+every write is atomic (:func:`repro.sim.checkpoint.atomic_write_bytes`:
+uniquely named temp file + fsync + ``os.replace``), the manifest
 records a SHA-256 per entry, and the fault-injection kill switch
 (:func:`repro.sim.faults.maybe_exit_after_persist`) fires after each
 persisted entry so kill-and-resume CI covers the hierarchical path too.
@@ -22,12 +23,12 @@ from contextlib import contextmanager
 import hashlib
 import json
 import logging
-import os
 from pathlib import Path
 import pickle
 from typing import Dict, Iterator, Optional, Union
 
 from repro.hier.model import InterfaceModel
+from repro.sim.checkpoint import atomic_write_bytes
 from repro.sim.faults import maybe_exit_after_persist
 
 try:  # advisory manifest locking (POSIX; no-op where unavailable)
@@ -46,16 +47,6 @@ MANIFEST_VERSION = 1
 class InterfaceCacheError(RuntimeError):
     """The directory is not a usable interface-model cache (a manifest of
     a different format — refuse to clobber foreign data)."""
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write-temp-then-rename so readers never observe a partial file."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 class InterfaceModelStore:
@@ -162,7 +153,7 @@ class InterfaceModelStore:
         merges concurrent writers' entries (see the class docstring)."""
         payload = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
         path = self.entry_path(model.key)
-        _atomic_write_bytes(path, payload)
+        atomic_write_bytes(path, payload)
         with self._manifest_lock():
             self._merge_disk_entries()
             self._entries[model.key] = {
@@ -223,5 +214,5 @@ class InterfaceModelStore:
             "entries": {key: self._entries[key]
                         for key in sorted(self._entries)},
         }
-        _atomic_write_bytes(self.manifest_path,
-                            (json.dumps(manifest, indent=2) + "\n").encode())
+        atomic_write_bytes(self.manifest_path,
+                           (json.dumps(manifest, indent=2) + "\n").encode())

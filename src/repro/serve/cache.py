@@ -36,10 +36,10 @@ from contextlib import suppress
 import hashlib
 import json
 import logging
-import os
 from pathlib import Path
-import tempfile
 from typing import Any, Dict, Optional, Tuple, Union
+
+from repro.sim.checkpoint import atomic_write_bytes
 
 logger = logging.getLogger(__name__)
 
@@ -51,23 +51,6 @@ MANIFEST_VERSION = 2
 class ServeCacheError(RuntimeError):
     """The directory is not a usable serve result cache (a manifest of a
     different format — refuse to clobber foreign data)."""
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write a uniquely named temp file, fsync it, rename it over
-    ``path``: readers never observe a partial file, and concurrent
-    writers of one path never share a temp file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
 
 
 def _circuit_tag(circuit: str) -> str:
@@ -144,8 +127,8 @@ class ResultCache:
                 "circuit": circuit, "key": key,
                 "sha256": hashlib.sha256(payload).hexdigest(),
             }, sort_keys=True).encode()
-            _atomic_write_bytes(self.entry_path(key, circuit),
-                                header + b"\n" + payload)
+            atomic_write_bytes(self.entry_path(key, circuit),
+                               header + b"\n" + payload)
 
     def invalidate_circuit(self, circuit: str) -> int:
         """Drop every entry tagged with ``circuit``; returns the count."""
@@ -216,8 +199,8 @@ class ResultCache:
                     _discard(self.directory / name)
             _discard(self.directory / "manifest.lock")
         marker = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION}
-        _atomic_write_bytes(self.manifest_path,
-                            (json.dumps(marker) + "\n").encode())
+        atomic_write_bytes(self.manifest_path,
+                           (json.dumps(marker) + "\n").encode())
 
     def _disk_read(self, key: str, circuit: Optional[str]
                    ) -> Optional[Tuple[str, str, Dict[str, Any]]]:

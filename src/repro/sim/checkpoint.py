@@ -3,10 +3,10 @@
 A checkpoint directory holds one pickle per completed shard (the shard's
 per-net :class:`~repro.sim.accumulator.NetAccumulator` dict plus its
 :class:`~repro.sim.parallel.ShardReport`) and a ``manifest.json`` that
-names the run they belong to.  Every write is atomic (write to a
-temporary file in the same directory, flush, ``os.replace``), so a run
-killed mid-write can never leave a half-written shard behind the
-manifest's back.
+names the run they belong to.  Every write is atomic
+(:func:`atomic_write_bytes`: write a uniquely named temporary file in
+the same directory, fsync, ``os.replace``), so a run killed mid-write
+can never leave a half-written shard behind the manifest's back.
 
 The manifest key pins everything the merged statistics depend on — root
 seed, circuit structure, input statistics, delay model, trial budget, and
@@ -29,6 +29,7 @@ import json
 import os
 from pathlib import Path
 import pickle
+import tempfile
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -192,14 +193,24 @@ class CheckpointKey:
                    delay_hash=delay_fingerprint(delay_model))
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write-temp-then-rename so readers never observe a partial file."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+def atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Write a uniquely named temp file, fsync it, rename it over
+    ``path``: readers never observe a partial file, and concurrent
+    writers of one path never share a temp file.
+
+    The one atomic write of every on-disk store (checkpoints, the hier
+    interface-model cache, the serve result cache)."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 class CheckpointStore:
@@ -259,7 +270,7 @@ class CheckpointStore:
         payload = pickle.dumps((accumulators, report),
                                protocol=pickle.HIGHEST_PROTOCOL)
         path = self.shard_path(index)
-        _atomic_write_bytes(path, payload)
+        atomic_write_bytes(path, payload)
         self._shards[index] = {
             "file": path.name,
             "n_trials": report.n_trials,
@@ -312,8 +323,8 @@ class CheckpointStore:
             "shards": {str(index): self._shards[index]
                        for index in sorted(self._shards)},
         }
-        _atomic_write_bytes(self.manifest_path,
-                            (json.dumps(manifest, indent=2) + "\n").encode())
+        atomic_write_bytes(self.manifest_path,
+                           (json.dumps(manifest, indent=2) + "\n").encode())
 
     def _load_shards(self) -> Dict[int, ShardCheckpoint]:
         loaded: Dict[int, ShardCheckpoint] = {}

@@ -214,6 +214,22 @@ def _race_puts(directory, prefix, count, barrier):
                                  pins={}, seconds=0.0))
 
 
+def _race_same_key(directory, count, barrier):
+    """Worker: re-put one identical model, racing a twin process."""
+    store = InterfaceModelStore(directory)
+    model = _shared_model()
+    barrier.wait()
+    for _ in range(count):
+        store.put(model)
+
+
+def _shared_model():
+    from repro.hier.model import InterfaceModel
+
+    return InterfaceModel(key="same".ljust(40, "0"), region_digest="d",
+                          pins={}, seconds=0.0)
+
+
 class TestConcurrentPuts:
     """Two processes sharing a cache directory must not lose entries.
 
@@ -247,6 +263,30 @@ class TestConcurrentPuts:
                 key = f"{prefix}{i:04d}".ljust(40, "0")
                 model = fresh.get(key)
                 assert model is not None and model.key == key
+
+    def test_two_processes_putting_one_key_never_collide(self, tmp_path):
+        """Two writers of the same entry (and of the manifest) must each
+        write through their own temp file: with a shared temp path one
+        writer renames the other's file away mid-write
+        (FileNotFoundError)."""
+        directory = tmp_path / "cache"
+        InterfaceModelStore(directory)
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        procs = [ctx.Process(target=_race_same_key,
+                             args=(str(directory), 100, barrier))
+                 for _ in range(2)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=120)
+            assert p.exitcode == 0
+        fresh = InterfaceModelStore(directory)
+        assert len(fresh) == 1
+        model = fresh.get(_shared_model().key)   # checksum-verified read
+        assert model == _shared_model()
+        assert fresh.misses == 0
+        assert not list(directory.glob("*.tmp"))
 
     def test_merge_preserves_foreign_entries_on_drop(self, tmp_path):
         """_drop of a corrupt entry must not erase other processes'

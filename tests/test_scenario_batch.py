@@ -1,10 +1,11 @@
-"""Differential tests pinning the scenario-batched backend to the
-looped fast engine.
+"""Differential tests pinning N batched scenarios to the same scenarios
+run one at a time.
 
+The fast engine is the one-scenario case of the compiled walker, so
 ``run_scenario_batch`` must be a pure batching optimization: running N
 scenarios stacked has to produce what N independent
-``run_spsta(engine="fast")`` calls produce.  The contract is graded per
-algebra exactly like the fast-vs-naive contract
+``run_spsta(engine="fast")`` calls (batches of one) produce.  The
+contract is graded per algebra exactly like the fast-vs-naive contract
 (``tests/test_spsta_fastpath.py``):
 
 - :class:`MomentAlgebra` / :class:`MixtureAlgebra`: bit-exact — the
@@ -38,7 +39,6 @@ from repro.core.scenario import (
     scenarios_from_corners,
     scenarios_from_stats,
 )
-from repro.core.scenario_jit import HAVE_NUMBA, JIT_ENV_VAR
 from repro.core.spsta import GridAlgebra, MixtureAlgebra, MomentAlgebra
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.generator import GeneratorProfile, generate_circuit
@@ -289,47 +289,6 @@ def test_empty_and_bad_arguments_raise():
         run_scenario_batch(netlist, ())
     with pytest.raises(ValueError, match="keep"):
         run_scenario_batch(netlist, _corner_scenarios(1), keep="some")
-    with pytest.raises(ValueError, match="jit flag"):
-        run_scenario_batch(netlist, _corner_scenarios(1), jit="fast")
-
-
-def test_jit_off_matches_default():
-    """The numba feature flag must not change results — ``off`` forces
-    the NumPy segment-sum path; with numba absent both paths are the
-    same code, with numba present they agree within grid rounding."""
-    netlist = benchmark_circuit("s298")
-    scenarios = _corner_scenarios(3)
-    default = run_scenario_batch(netlist, scenarios, GridAlgebra(GRID))
-    off = run_scenario_batch(netlist, scenarios, GridAlgebra(GRID),
-                             jit="off")
-    for a, b in zip(default.results, off.results):
-        _assert_grid_close(a, b)
-
-
-@pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: 'on' is honored")
-def test_jit_on_without_numba_warns_and_falls_back():
-    netlist = benchmark_circuit("s27")
-    with pytest.warns(RuntimeWarning, match="numba is not installed"):
-        sweep = run_scenario_batch(netlist, _corner_scenarios(2),
-                                   GridAlgebra(GRID), jit="on")
-    looped = run_scenarios_looped(netlist, _corner_scenarios(2),
-                                  lambda: GridAlgebra(GRID))
-    for a, b in zip(sweep.results, looped):
-        _assert_grid_close(a, b)
-
-
-def test_jit_env_var_flag(monkeypatch):
-    monkeypatch.setenv(JIT_ENV_VAR, "off")
-    netlist = benchmark_circuit("s27")
-    sweep = run_scenario_batch(netlist, _corner_scenarios(2),
-                               GridAlgebra(GRID))       # jit=None -> env
-    looped = run_scenarios_looped(netlist, _corner_scenarios(2),
-                                  lambda: GridAlgebra(GRID))
-    for a, b in zip(sweep.results, looped):
-        _assert_grid_close(a, b)
-    monkeypatch.setenv(JIT_ENV_VAR, "bogus")
-    with pytest.raises(ValueError, match="jit flag"):
-        run_scenario_batch(netlist, _corner_scenarios(1))
 
 
 def test_profile_counts_batched_work():
