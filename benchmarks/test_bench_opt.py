@@ -11,11 +11,12 @@ after each move (``retime="full"``).  The payload is validated against
 Measurement protocol matches ``test_bench_scenario.py``: every
 (circuit, mode) sample runs in a fresh subprocess so allocator and
 page-cache state from one run cannot skew another, and each cell takes
-the median of ``REPEATS`` samples.  The annealing phase is used (the
-greedy phase interleaves variational gradient scoring, which is the
-same cost in both modes and would only dilute the re-timing ratio);
-the move budget shrinks with circuit size to keep the full-pass
-baseline affordable.
+the median of ``REPEATS`` samples.  Only the annealing phase runs: the
+greedy phase also prices moves with a variational gradient pass over
+the worst endpoint's fan-in cone, which costs O(cone) and the same in
+both modes, so it would only dilute the re-timing ratio.  The move
+budget shrinks with circuit size to keep the full-pass baseline
+affordable.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ the optimizer's bounds-certified candidate pruning (``repro.opt``),
 and the ``spsta bounds`` CLI report.  See ``docs/theory.md``.
 
 ``stems`` is imported eagerly (``repro.lint.accuracy`` depends on it and
-it only needs numpy + the netlist layer); the engine modules load
+it only needs the netlist layer); the engine modules load
 lazily through ``__getattr__`` to keep imports cheap.
 """
 

@@ -1,4 +1,4 @@
-"""Packed-uint64 bitset sweeps over the levelized netlist.
+"""Bitset sweeps over the levelized netlist.
 
 The reconvergent-stem sweep was born inside ``repro.lint.accuracy``
 (SP301/SP302); it now lives here because the bounds engine
@@ -9,18 +9,29 @@ out at least twice, which makes it a stem, which the sweep catches), so
 the interval transfer function may compose marginals; a gate in
 :attr:`StemSweep.reconvergent_gates` may not.
 
-All sweeps are one topological pass over packed-uint64 bitsets:
-``O(nets x bits / 64)`` words, a few MB even for the s9234-class
-profiles.
+All sweeps are one topological pass with one Python ``int`` bitset per
+net: an OR or AND of two sets is a single integer operation, and the
+sets take a few MB even for the s9234-class profiles.  Inside
+:func:`shared_sweeps` (``run_lint`` opens one) each netlist is swept
+once, however many rules ask.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
-import numpy as np
-
+from repro.compat import popcount
 from repro.logic.gates import GateType
 from repro.netlist.analysis import net_depths
 
@@ -59,45 +70,61 @@ class StemSweep:
     reconvergent_gates: FrozenSet[str]
 
 
+#: The sweeps of the innermost :func:`shared_sweeps` block, by netlist.
+_SHARED: ContextVar[Optional[Dict["Netlist", StemSweep]]] = ContextVar(
+    "shared_stem_sweeps", default=None)
+
+
+@contextmanager
+def shared_sweeps() -> Iterator[None]:
+    """Within the block, :func:`sweep_stems` sweeps each netlist once
+    and hands every later caller the same :class:`StemSweep`."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def sweep_stems(netlist: "Netlist") -> StemSweep:
-    """One levelized sweep with packed-uint64 bitsets: per gate, a stem
-    seen on two input cones lands in the ``seen_twice`` mask."""
+    """The stem sweep of ``netlist`` (reused inside
+    :func:`shared_sweeps`)."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _sweep(netlist)
+    sweep = shared.get(netlist)
+    if sweep is None:
+        sweep = shared[netlist] = _sweep(netlist)
+    return sweep
+
+
+def _sweep(netlist: "Netlist") -> StemSweep:
+    """One levelized bitset sweep: per gate, a stem seen on two input
+    cones lands in the ``seen_twice`` mask."""
     stems = [net for net in netlist.nets
              if sum(1 for sink in netlist.fanouts(net)
                     if netlist.gates[sink].gate_type is not GateType.DFF) >= 2]
     if not stems:
         return StemSweep((), {}, {}, frozenset())
-    stem_bit = {net: i for i, net in enumerate(stems)}
-    words = (len(stems) + 63) // 64
-    zero = np.zeros(words, dtype=np.uint64)
+    stem_bit = {net: 1 << i for i, net in enumerate(stems)}
     depths = net_depths(netlist)
 
-    masks: Dict[str, np.ndarray] = {}
-    recon: Dict[str, np.ndarray] = {}
+    masks: Dict[str, int] = {}
+    recon: Dict[str, int] = {}
     event_depth: Dict[str, int] = {}
     records: Dict[str, StemRecord] = {}
     reconvergent: List[str] = []
 
-    def mask_of(net: str) -> np.ndarray:
-        mask = masks.get(net, zero)
-        if net in stem_bit:
-            mask = mask.copy()
-            bit = stem_bit[net]
-            mask[bit >> 6] |= np.uint64(1 << (bit & 63))
-        return mask
-
     for gate in netlist.combinational_gates:
-        seen_once = zero
-        seen_twice = zero
-        acc_recon = zero
+        seen_once = seen_twice = acc_recon = 0
         acc_event = 0
         for src in gate.inputs:
-            m = mask_of(src)
-            seen_twice = seen_twice | (seen_once & m)
-            seen_once = seen_once | m
-            acc_recon = acc_recon | recon.get(src, zero)
+            m = masks.get(src, 0) | stem_bit.get(src, 0)
+            seen_twice |= seen_once & m
+            seen_once |= m
+            acc_recon |= recon.get(src, 0)
             acc_event = max(acc_event, event_depth.get(src, 0))
-        if seen_twice.any():
+        if seen_twice:
             reconvergent.append(gate.name)
             for bit in _set_bits(seen_twice):
                 stem = stems[bit]
@@ -109,14 +136,14 @@ def sweep_stems(netlist: "Netlist") -> StemSweep:
                     record.n_gates += 1
                     record.max_depth = max(record.max_depth, depth)
                 acc_event = max(acc_event, depth)
-            acc_recon = acc_recon | seen_twice
+            acc_recon |= seen_twice
         masks[gate.name] = seen_once
         recon[gate.name] = acc_recon
         event_depth[gate.name] = acc_event
 
     endpoint_metrics: Dict[str, Dict[str, int]] = {}
     for endpoint in netlist.endpoints:
-        n = int(_popcount(recon.get(endpoint, zero)))
+        n = popcount(recon.get(endpoint, 0))
         if n:
             endpoint_metrics[endpoint] = {
                 "reconvergent_stems": n,
@@ -143,32 +170,27 @@ def find_reconvergence(
 def launch_support_counts(netlist: "Netlist") -> Dict[str, int]:
     """Number of launch points in every net's fan-in cone.
 
-    Same packed-bitset walk as the stem sweep, with one bit per launch
-    point; the count is the BDD variable count a cone collapse would
-    need, which is what the bounds engine's SP202-style cost gate prices.
+    Same bitset walk as the stem sweep, with one bit per launch point;
+    the count is the BDD variable count a cone collapse would need,
+    which is what the bounds engine's SP202-style cost gate prices.
     """
-    launches = list(netlist.launch_points)
-    words = max((len(launches) + 63) // 64, 1)
-    zero = np.zeros(words, dtype=np.uint64)
-    masks: Dict[str, np.ndarray] = {}
-    for i, net in enumerate(launches):
-        mask = zero.copy()
-        mask[i >> 6] |= np.uint64(1 << (i & 63))
-        masks[net] = mask
+    launches = netlist.launch_points
+    masks: Dict[str, int] = {net: 1 << i for i, net in enumerate(launches)}
     counts: Dict[str, int] = {net: 1 for net in launches}
     for gate in netlist.combinational_gates:
-        acc = zero
+        acc = 0
         for src in gate.inputs:
-            acc = acc | masks[src]
+            acc |= masks[src]
         masks[gate.name] = acc
-        counts[gate.name] = _popcount(acc)
+        counts[gate.name] = popcount(acc)
     return counts
 
 
-def _set_bits(mask: np.ndarray) -> List[int]:
-    bits = np.unpackbits(mask.view(np.uint8), bitorder="little")
-    return [int(b) for b in np.nonzero(bits)[0]]
-
-
-def _popcount(mask: np.ndarray) -> int:
-    return int(np.unpackbits(mask.view(np.uint8)).sum())
+def _set_bits(mask: int) -> List[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    bits: List[int] = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits

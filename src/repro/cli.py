@@ -372,6 +372,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     print(f"  incremental re-timing: {result.recomputed_gates} gate "
           f"evaluations for {applied} delay edits "
           f"(full-pass-per-move: {applied * n_gates})")
+    print(f"  gradient pricing: {result.priced_gates} gate evaluations "
+          f"for {result.iterations} greedy iterations "
+          f"(whole-netlist: {result.iterations * n_gates})")
     if result.bounds_pruning:
         print(f"  bounds pruning: {result.pruned_candidates} gates and "
               f"{result.pruned_endpoints} endpoints certified "
@@ -402,6 +405,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             "accepted_moves": result.accepted_moves,
             "recomputed_gates": result.recomputed_gates,
             "full_pass_equivalent_gates": applied * n_gates,
+            "priced_gates": result.priced_gates,
+            "full_pricing_equivalent_gates": result.iterations * n_gates,
             "bounds_pruning": result.bounds_pruning,
             "pruned_candidates": result.pruned_candidates,
             "pruned_endpoints": result.pruned_endpoints,

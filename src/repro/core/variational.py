@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,13 +204,30 @@ def run_variational(netlist: Netlist, delay: VariationalDelay,
     paper's N(0, 1) inputs); direction mapping per gate matches
     :mod:`repro.core.ssta`.
     """
+    rise, fall = _propagate(netlist.launch_points,
+                            netlist.combinational_gates, delay,
+                            launch_sigma)
+    return VariationalResult(netlist.name, delay.space, rise, fall)
+
+
+def _propagate(launch_points: Iterable[str], gates: Iterable[Gate],
+               delay: VariationalDelay, launch_sigma: float = 1.0,
+               ) -> Tuple[Dict[str, CanonicalForm],
+                          Dict[str, CanonicalForm]]:
+    """Rise/fall forms of ``launch_points`` and ``gates``.
+
+    ``gates`` must be in topological order and every gate input must be
+    a launch point or an earlier gate.  A net's forms depend only on its
+    fan-in cone, so walking a cone's gates in netlist order gives the
+    same forms as :func:`run_variational` gives on those nets.
+    """
     space = delay.space
     rise: Dict[str, CanonicalForm] = {}
     fall: Dict[str, CanonicalForm] = {}
-    for net in netlist.launch_points:
+    for net in launch_points:
         rise[net] = CanonicalForm(space, 0.0, None, launch_sigma ** 2)
         fall[net] = CanonicalForm(space, 0.0, None, launch_sigma ** 2)
-    for gate in netlist.combinational_gates:
+    for gate in gates:
         d = delay.delay_form(gate)
         spec = gate_spec(gate.gate_type)
         in_r = [rise[src] for src in gate.inputs]
@@ -232,7 +249,7 @@ def run_variational(netlist: Netlist, delay: VariationalDelay,
                 r, f = f, r
         rise[gate.name] = r + d
         fall[gate.name] = f + d
-    return VariationalResult(netlist.name, space, rise, fall)
+    return rise, fall
 
 
 def _fold(forms: Sequence[CanonicalForm], op: str) -> CanonicalForm:

@@ -49,7 +49,7 @@ def accuracy_diagnostics(netlist: "Netlist",
 
 # -- SP301/SP302: reconvergent fanout ------------------------------------
 #
-# The packed-uint64 stem sweep itself lives in ``repro.bounds.stems``
+# The bitset stem sweep itself lives in ``repro.bounds.stems``
 # (shared with the bounds engine's regime classifier); ``StemRecord`` and
 # ``find_reconvergence`` are re-exported above for compatibility.
 

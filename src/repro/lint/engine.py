@@ -32,6 +32,7 @@ from typing import (
     Union,
 )
 
+from repro.bounds.stems import shared_sweeps
 from repro.core.delay import DelayModel, UnitDelay
 from repro.core.inputs import CONFIG_I, InputStats
 from repro.lint.accuracy import accuracy_diagnostics
@@ -183,13 +184,18 @@ def _sorted(diagnostics: Sequence[Diagnostic]) -> Tuple[Diagnostic, ...]:
 def run_lint(netlist: "Netlist",
              config: Optional[LintConfig] = None,
              baseline: FrozenSet[str] = frozenset()) -> LintReport:
-    """Run every registered rule family over a validated netlist."""
+    """Run every registered rule family over a validated netlist.
+
+    The families share one stem sweep (SP301/302 and the SP4xx bounds
+    engine both need it).
+    """
     if config is None:
         config = LintConfig()
     findings: List[Diagnostic] = []
-    for _family, check in RULE_FAMILIES:
-        findings.extend(d for d in check(netlist, config)
-                        if d.rule not in config.disabled)
+    with shared_sweeps():
+        for _family, check in RULE_FAMILIES:
+            findings.extend(d for d in check(netlist, config)
+                            if d.rule not in config.disabled)
     kept = [d for d in findings if d.key not in baseline]
     dropped = [d for d in findings if d.key in baseline]
     return LintReport(circuit=netlist.name,

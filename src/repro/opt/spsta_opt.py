@@ -14,7 +14,8 @@ existing layers:
 - **gradients** — one variational pass with one process parameter per
   candidate gate yields d(endpoint arrival)/d(gate delay) for *all*
   candidates at once (:mod:`repro.core.variational`), so greedy move
-  selection never re-runs the statistical engine;
+  selection never re-runs the statistical engine; the pass walks only
+  the worst endpoint's fan-in cone, the gates its arrival depends on;
 - **oracle** — the final sizing can be validated with the Monte Carlo
   engine's joint (all-endpoints, shared-trial) yield.
 
@@ -42,11 +43,8 @@ from repro.core.incremental_spsta import (
 )
 from repro.core.inputs import CONFIG_I, InputStats
 from repro.core.spsta import MixtureAlgebra, MomentAlgebra, TopAlgebra
-from repro.core.variational import (
-    CanonicalForm,
-    ProcessSpace,
-    run_variational,
-)
+from repro.core.variational import CanonicalForm, ProcessSpace, _propagate
+from repro.netlist.analysis import fanin_cone
 from repro.netlist.core import Gate, Netlist
 from repro.sim.montecarlo import run_monte_carlo
 from repro.sim.parallel import seed_sequence_of
@@ -55,8 +53,12 @@ from repro.stats.normal import Normal
 
 #: Candidate-set cap for the per-move variational gradient pass: one
 #: process parameter per candidate, so this bounds the canonical-form
-#: dimension (cost of the pass is O(gates * dim)).
+#: dimension (cost of the pass is O(cone gates * dim)).
 GRADIENT_CANDIDATE_CAP = 24
+
+#: An endpoint's fan-in cone as the gradient pass walks it: launch
+#: points, then gates in netlist (topological) order.
+Cone = Tuple[Tuple[str, ...], Tuple[Gate, ...]]
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,7 @@ class SpstaSizingResult:
     bounds_pruning: bool = False      # certified pruning was active
     pruned_candidates: int = 0        # gates certified never-critical
     pruned_endpoints: int = 0         # endpoints dropped from worst scans
+    priced_gates: int = 0             # gates the gradient passes walked
 
 
 def optimize_spsta(netlist: Netlist,
@@ -215,8 +218,9 @@ def optimize_spsta(netlist: Netlist,
         prunable = frozenset(static.non_critical_gates(clock_period))
         scan_endpoints = [net for net in endpoints if net not in never]
 
-    state = {"recomputed": 0, "verified": 0}
+    state = {"recomputed": 0, "verified": 0, "priced": 0}
     moves: List[Move] = []
+    cones: Dict[str, Cone] = {}
 
     def apply(gate: str, size: float) -> int:
         # Size 1.0 is the base model, so the override map mirrors
@@ -265,7 +269,11 @@ def optimize_spsta(netlist: Netlist,
                       ][:GRADIENT_CANDIDATE_CAP]
         if not candidates:
             break
-        scored = _score_candidates(netlist, endpoint, candidates, sizes,
+        cone = cones.get(endpoint)
+        if cone is None:
+            cone = cones[endpoint] = _pricing_cone(netlist, endpoint)
+        state["priced"] += len(cone[1])
+        scored = _score_candidates(cone, endpoint, candidates, sizes,
                                    base_delay, delay_sigma, size_step,
                                    max_size)
         chosen: Optional[Tuple[str, float]] = None
@@ -364,7 +372,8 @@ def optimize_spsta(netlist: Netlist,
         mc_validation=mc_validation,
         bounds_pruning=pruning_active,
         pruned_candidates=len(prunable),
-        pruned_endpoints=len(endpoints) - len(scan_endpoints))
+        pruned_endpoints=len(endpoints) - len(scan_endpoints),
+        priced_gates=state["priced"])
 
 
 def validate_with_mc(netlist: Netlist, delay_model: SizedNormalDelay,
@@ -515,15 +524,29 @@ class _MoveGradientDelay:
                              (self._sigma / size) ** 2)
 
 
-def _score_candidates(netlist: Netlist, endpoint: str,
+def _pricing_cone(netlist: Netlist, endpoint: str) -> Cone:
+    """The part of ``netlist`` that ``endpoint``'s arrival depends on."""
+    cone = fanin_cone(netlist, endpoint)
+    return (tuple(net for net in netlist.launch_points if net in cone),
+            tuple(gate for gate in netlist.combinational_gates
+                  if gate.name in cone))
+
+
+def _score_candidates(cone: Cone, endpoint: str,
                       candidates: List[str], sizes: Mapping[str, float],
                       base_delay: float, delay_sigma: float,
                       size_step: float, max_size: float,
                       ) -> List[Tuple[str, float]]:
-    """Candidates ranked by (arrival sensitivity x delay gain / area)."""
+    """Candidates ranked by (arrival sensitivity x delay gain / area).
+
+    The variational pass walks ``endpoint``'s fan-in cone only.  Its
+    gates fold in netlist order, as in a whole-netlist pass, so the
+    endpoint's form, and every score, is bit-identical to one.
+    """
     space = ProcessSpace(tuple(candidates))
     model = _MoveGradientDelay(space, base_delay, delay_sigma, sizes)
-    arrival = run_variational(netlist, model).worst(endpoint)
+    rise, fall = _propagate(*cone, model)
+    arrival = rise[endpoint].max_with(fall[endpoint])
     scored: List[Tuple[str, float]] = []
     for gate in candidates:
         size = sizes.get(gate, 1.0)

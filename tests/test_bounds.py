@@ -330,3 +330,78 @@ class TestOptimizerPruningIdentity:
                                 max_iterations=2, bounds_pruning=True)
         assert not result.bounds_pruning
         assert result.pruned_candidates == 0
+
+
+class TestStemSweepReference:
+    """The bitset sweep against a brute-force rule: a stem reconverges
+    at a gate iff it lies in the inclusive fan-in cones of two or more
+    of the gate's inputs."""
+
+    @staticmethod
+    def _reference(netlist):
+        from repro.netlist.analysis import fanin_cone, net_depths
+        depths = net_depths(netlist)
+        stems = [net for net in netlist.nets
+                 if sum(1 for sink in netlist.fanouts(net)
+                        if netlist.gates[sink].gate_type
+                        is not GateType.DFF) >= 2]
+        events = {}                  # gate -> {stem: depth}
+        for gate in netlist.combinational_gates:
+            cones = [fanin_cone(netlist, src) for src in gate.inputs]
+            hits = {stem: depths[gate.name] - depths[stem]
+                    for stem in stems
+                    if sum(stem in cone for cone in cones) >= 2}
+            if hits:
+                events[gate.name] = hits
+        records = {}
+        for gate in netlist.combinational_gates:
+            for stem in stems:
+                if stem not in events.get(gate.name, {}):
+                    continue
+                depth = events[gate.name][stem]
+                first, n, deepest = records.get(stem, (gate.name, 0, 0))
+                records[stem] = (first, n + 1, max(deepest, depth))
+        metrics = {}
+        for endpoint in netlist.endpoints:
+            cone = fanin_cone(netlist, endpoint)
+            seen = {stem: depth for gate in cone
+                    for stem, depth in events.get(gate, {}).items()}
+            if seen:
+                metrics[endpoint] = {
+                    "reconvergent_stems": len(seen),
+                    "max_correlation_depth": max(
+                        max(events[g].values())
+                        for g in cone if g in events)}
+        support = {net: sum(netlist.is_launch_point(n)
+                            for n in fanin_cone(netlist, net))
+                   for net in netlist.nets}
+        return stems, records, metrics, frozenset(events), support
+
+    @pytest.mark.parametrize("netlist", [
+        benchmark_circuit("s27"), benchmark_circuit("s208"),
+        _random_circuit(7, n_gates=60, xor_fraction=0.2)],
+        ids=lambda netlist: netlist.name)
+    def test_sweep_matches_brute_force(self, netlist):
+        from repro.bounds import launch_support_counts, sweep_stems
+        stems, records, metrics, gates, support = self._reference(netlist)
+        sweep = sweep_stems(netlist)
+        assert list(sweep.stems) == stems
+        assert {stem: (r.first_gate, r.n_gates, r.max_depth)
+                for stem, r in sweep.records.items()} == records
+        assert sweep.endpoint_metrics == metrics
+        assert sweep.reconvergent_gates == gates
+        assert gates, "the case must exercise reconvergence"
+        assert launch_support_counts(netlist) == support
+
+    def test_run_lint_sweeps_once(self, monkeypatch):
+        from repro.bounds import stems
+        from repro.lint import LintConfig, run_lint
+        calls = []
+        sweep = stems._sweep
+        monkeypatch.setattr(stems, "_sweep",
+                            lambda netlist: calls.append(1) or sweep(netlist))
+        netlist = benchmark_circuit("s298")
+        run_lint(netlist, LintConfig())
+        assert len(calls) == 1
+        stems.sweep_stems(netlist)          # outside a lint: sweeps again
+        assert len(calls) == 2

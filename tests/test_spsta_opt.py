@@ -6,6 +6,7 @@ import pytest
 from repro.core.spsta import GridAlgebra, MixtureAlgebra
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.opt import SizedNormalDelay, optimize_spsta
+import repro.opt.spsta_opt as spsta_opt
 from repro.stats.grid import TimeGrid
 from repro.stats.normal import Normal
 
@@ -166,3 +167,63 @@ class TestOptimizeSpsta:
         with pytest.raises(ValueError):
             optimize_spsta(netlist, clock_period=5.0,
                            algebra=GridAlgebra(TimeGrid(0.0, 10.0, 64)))
+
+
+#: The repository benchmark's optimizer call (perfbench signoff-batch).
+PERFBENCH_S1196 = dict(clock_period=13.0, metric="yield",
+                       target_yield=0.9999, anneal=True, anneal_moves=60)
+
+
+class TestConePricing:
+    """Greedy moves are priced on the worst endpoint's fan-in cone; a
+    whole-netlist pass (the cone lookup patched to return every gate)
+    is the reference the cone must match bit for bit."""
+
+    @staticmethod
+    def _whole_netlist(monkeypatch):
+        monkeypatch.setattr(
+            spsta_opt, "_pricing_cone",
+            lambda netlist, endpoint: (netlist.launch_points,
+                                       netlist.combinational_gates))
+
+    @staticmethod
+    def _outcome(result):
+        return (result.moves, dict(result.sizes), result.metric_before,
+                result.metric_after, result.recomputed_gates)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("s1196", dict(PERFBENCH_S1196, seed=1)),
+        ("s1196", dict(clock_period=16.5, metric="mean-ksigma",
+                       k_sigma=3.0, max_iterations=6,
+                       bounds_pruning=True, seed=0)),
+        ("s9234", dict(clock_period=17.0, target_yield=0.9999,
+                       max_iterations=6, seed=0)),
+    ], ids=["s1196-yield-anneal", "s1196-ksigma-pruned", "s9234-greedy"])
+    def test_cone_pricing_is_bit_identical(self, monkeypatch, name,
+                                           kwargs):
+        netlist = benchmark_circuit(name)
+        kwargs = dict(kwargs)
+        seed = kwargs.pop("seed")
+        cone = optimize_spsta(netlist, rng=np.random.default_rng(seed),
+                              **kwargs)
+        self._whole_netlist(monkeypatch)
+        whole = optimize_spsta(netlist, rng=np.random.default_rng(seed),
+                               **kwargs)
+        assert self._outcome(cone) == self._outcome(whole)
+        assert cone.iterations > 0
+        n_gates = len(netlist.combinational_gates)
+        assert whole.priced_gates == whole.iterations * n_gates
+        assert cone.priced_gates < whole.priced_gates
+        if kwargs.get("bounds_pruning"):
+            assert cone.pruned_candidates > 0
+
+    def test_priced_gates_on_the_benchmark_run(self):
+        """A timing-free regression guard: the perfbench s1196 run
+        prices 2,464 gates over 41 greedy iterations, where
+        whole-netlist pricing walked 41 x 529 = 21,689."""
+        netlist = benchmark_circuit("s1196")
+        result = optimize_spsta(netlist, rng=np.random.default_rng(1),
+                                **PERFBENCH_S1196)
+        assert result.iterations == 41
+        assert len(netlist.combinational_gates) == 529
+        assert result.priced_gates == 2464

@@ -7,10 +7,12 @@ from repro.core.variational import (
     CanonicalForm,
     ProcessSpace,
     VariationalDelay,
+    _propagate,
     run_variational,
     timing_yield,
 )
 from repro.logic.gates import GateType
+from repro.netlist.analysis import fanin_cone
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.core import Gate, Netlist
 
@@ -136,6 +138,29 @@ class TestRunVariational:
     def test_benchmark_runs(self):
         result = run_variational(benchmark_circuit("s298"), self._delay())
         assert all(f.var >= 0 for f in result.rise.values())
+
+    @pytest.mark.parametrize("name", ["s1196", "s9234"])
+    def test_cone_forms_equal_whole_netlist_forms(self, name):
+        """A fan-in cone walked in netlist order folds the same gates in
+        the same order, so every cone net's forms are bit-identical."""
+        netlist = benchmark_circuit(name)
+        delay = self._delay()
+        full = run_variational(netlist, delay)
+        endpoints = netlist.endpoints
+        for endpoint in (endpoints[0], endpoints[len(endpoints) // 2],
+                         endpoints[-1]):
+            cone = fanin_cone(netlist, endpoint)
+            rise, fall = _propagate(
+                [n for n in netlist.launch_points if n in cone],
+                [g for g in netlist.combinational_gates if g.name in cone],
+                delay)
+            assert set(rise) == set(fall) == cone
+            for net in cone:
+                for got, want in ((rise[net], full.rise[net]),
+                                  (fall[net], full.fall[net])):
+                    assert got.a0 == want.a0
+                    assert got.local_var == want.local_var
+                    assert np.array_equal(got.coeffs, want.coeffs)
 
 
 class TestTimingYield:
