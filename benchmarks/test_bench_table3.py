@@ -68,68 +68,70 @@ def _best_of(fn, rounds=3):
     return best, result
 
 
-def test_stream_speedup_artifact(results_dir):
-    """Record the streaming-vs-seed speedup on s1196 at 10k trials.
+def _all_stats(mc, netlist):
+    """Every accessor of every net: the product Table 2 consumes."""
+    return {net: (mc.direction_stats(net, "rise"),
+                  mc.direction_stats(net, "fall"),
+                  mc.signal_probability(net), mc.toggling_rate(net))
+            for net in netlist.nets}
 
-    The comparison is time-to-statistics: both engines must deliver the
-    per-net/per-direction statistics for every net (that is the product
-    Table 2 consumes), so the seed engine's cost includes materializing
-    its accessors while the streaming engine has them the moment the run
-    returns.  All worker/shard configurations are recorded; the asserted
-    ratio uses the fastest streaming configuration measured on this host
-    (on a single-CPU container the process pool cannot add parallelism,
-    so the win comes from the streaming kernel itself).
+
+def test_stream_speedup_artifact(results_dir):
+    """Record Monte Carlo time-to-statistics on s1196 at 10k trials.
+
+    Time-to-statistics is the run plus reading the per-net/per-direction
+    statistics of every net.  Both modes run one gate kernel:
+    ``mode="waves"`` is one shard that keeps every wave, ``mode="stream"``
+    retires waves (optionally over shards and worker processes).  Every
+    (shards, workers) configuration is recorded.  With one shard the two
+    modes draw the same random stream, so their statistics must agree
+    bit for bit on the same seed.
     """
     netlist = benchmark_circuit("s1196")
     n_trials = 10_000
 
-    def seed_time_to_stats():
+    def time_to_stats(**kwargs):
         mc = run_monte_carlo(netlist, CONFIG_I, n_trials,
-                             rng=np.random.default_rng(0))
-        for net in mc.nets:
-            mc.direction_stats(net, "rise")
-            mc.direction_stats(net, "fall")
-            mc.signal_probability(net)
-            mc.toggling_rate(net)
-        return mc
+                             rng=np.random.default_rng(0), **kwargs)
+        return mc, _all_stats(mc, netlist)
 
-    seed_engine_seconds, _ = _best_of(
-        lambda: run_monte_carlo(netlist, CONFIG_I, n_trials,
-                                rng=np.random.default_rng(0)))
-    seed_stats_seconds, _ = _best_of(seed_time_to_stats)
-
+    waves_seconds, (waves, waves_stats) = _best_of(time_to_stats)
     stream_rows = []
     for shards, workers in ((1, 1), (4, 1), (4, 4)):
-        seconds, result = _best_of(
-            lambda s=shards, w=workers: run_monte_carlo(
-                netlist, CONFIG_I, n_trials, rng=np.random.default_rng(0),
+        seconds, (result, stats) = _best_of(
+            lambda s=shards, w=workers: time_to_stats(
                 mode="stream", shards=s, workers=w))
-        stream_rows.append((shards, workers, seconds, result))
+        stream_rows.append((shards, workers, seconds, result, stats))
 
-    best_seconds = min(seconds for _, _, seconds, _ in stream_rows)
-    speedup = seed_stats_seconds / best_seconds
     lines = [
-        f"Streaming Monte Carlo speedup, {netlist.name} @ {n_trials} trials",
-        "(time-to-statistics: every net, both directions, P/mu/sigma/SP/TR)",
+        f"Monte Carlo time-to-statistics, {netlist.name} @ {n_trials} trials",
+        "(every net, both directions, P/mu/sigma/SP/TR; best of 3)",
         "",
-        f"seed engine, run only:          {seed_engine_seconds * 1e3:8.1f} ms",
-        f"seed engine + statistics:       {seed_stats_seconds * 1e3:8.1f} ms",
+        f"waves (one shard, every wave kept): {waves_seconds * 1e3:8.1f} ms  "
+        f"(peak waves {waves.peak_wave_bytes / 1024:.0f} KiB)",
     ]
-    for shards, workers, seconds, result in stream_rows:
-        lines.append(f"stream shards={shards} workers={workers}:      "
+    for shards, workers, seconds, result, _ in stream_rows:
+        lines.append(f"stream shards={shards} workers={workers}:          "
                      f"{seconds * 1e3:8.1f} ms  "
                      f"(peak waves {result.peak_wave_bytes / 1024:.0f} KiB)")
     lines += [
         "",
-        f"best streaming configuration:   {best_seconds * 1e3:8.1f} ms",
-        f"speedup vs seed engine:         {speedup:8.2f}x",
-        "",
-        "Note: this host exposes a single CPU, so worker processes add",
-        "pool overhead without parallelism; on multi-core hosts the",
-        "sharded configurations scale with the worker count.",
+        "Both modes run the same gate kernel; the 2.20x streaming-vs-wave-",
+        "kernel ratio this artifact used to assert is final (see",
+        "docs/performance.md), since the wave kernel no longer exists.",
+        "Worker processes add pool overhead without parallelism on a",
+        "host with fewer free CPUs than workers.",
     ]
     save_artifact(results_dir, "stream_speedup.txt", "\n".join(lines))
-    assert speedup >= 2.0, f"streaming speedup {speedup:.2f}x below 2x"
+    one_shard = stream_rows[0][4]
+    for net in netlist.nets:
+        want, got = waves_stats[net], one_shard[net]
+        assert got[2:] == want[2:], net
+        for a, b in zip(got[:2], want[:2]):
+            assert (a.probability, a.n_occurrences) == \
+                (b.probability, b.n_occurrences), net
+            assert np.array_equal([a.mean, a.std], [b.mean, b.std],
+                                  equal_nan=True), net
 
 
 def test_table3_stream_artifact(results_dir):

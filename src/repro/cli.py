@@ -79,9 +79,10 @@ class _McFault(NamedTuple):
 def _mc_fault_args(args: argparse.Namespace) -> _McFault:
     """Fault-tolerance settings for ``run_monte_carlo`` from CLI flags.
 
-    The retry/checkpoint/deadline features are stream-engine-only (the
-    wave engine has no shards to retry), so using them with the default
-    ``--mc-mode waves`` is a usage error, not a silent no-op.
+    The retry/checkpoint/deadline features are stream-mode-only (a
+    ``--mc-mode waves`` run is one shard that keeps every wave), so using
+    them with the default ``--mc-mode waves`` is a usage error, not a
+    silent no-op.
     """
     wanted = {
         "--mc-retries": bool(args.mc_retries),
@@ -179,7 +180,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(line)
     print(f"  SPSTA signal probability at endpoint: "
           f"{spsta.prob4[endpoint].signal_probability:.3f}")
-    if mc is not None and hasattr(mc, "summary"):
+    if mc is not None and args.mc_mode == "stream":
         print(mc.summary())
     if spsta_profile is not None:
         print(spsta_profile.render(indent="  "))
@@ -919,7 +920,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--engine", choices=("fast", "naive"),
                          default="fast",
                          help="SPSTA propagation engine (fast: levelized "
-                              "batched kernels; naive: per-gate reference)")
+                              "batched kernels for grid densities, the "
+                              "per-gate sweep for closed-form algebras; "
+                              "naive: per-gate reference sweep)")
         cmd.add_argument("--profile", action="store_true",
                          help="print SPSTA phase timings and work counters")
 

@@ -1,13 +1,13 @@
 """The compiled SPSTA level walker, batched over scenarios.
 
-Every grid and closed-form propagation of the repo's fast engine runs
-here.  :func:`compile_netlist` lowers a netlist ONCE into a flat tensor
-program; :func:`run_scenario_batch` then executes N scenarios (PVT/derate
+Every grid propagation of the repo's fast engine runs here.
+:func:`compile_netlist` lowers a netlist ONCE into a flat tensor program;
+:func:`run_scenario_batch` then executes N grid scenarios (PVT/derate
 corners, input-statistics sweeps, delay-model perturbations) as one
 vectorized pass over a stacked ``(scenario, net, bin)`` array, and
-``run_spsta(engine="fast")`` (:mod:`repro.core.spsta_fast`) is the same
-walk with a batch of one scenario and, for hierarchical regions, seeded
-boundary TOPs.
+``run_spsta(engine="fast")`` on a grid (:mod:`repro.core.spsta_fast`) is
+the same walk with a batch of one scenario and, for hierarchical regions,
+seeded boundary TOPs.
 
 Compile / execute model
 -----------------------
@@ -46,11 +46,11 @@ the compiled program:
 Each level runs in its own call frame, so its prep, DP and convolution
 temporaries are freed before the next level allocates its own.
 
-Closed-form algebras (moments, mixtures) cannot reorder their scalar
-folds without losing the repo's bit-exactness contract, so they run the
-per-scenario generic walk with shared launch/probability/weight-table
-state — identical results to looping ``run_spsta(engine="fast")``, minus
-the redundant per-scenario setup.
+Closed-form algebras (moments, mixtures, canonical forms) have no stacked
+kernel: :func:`run_scenario_batch` runs the naive per-gate sweep of
+:func:`repro.core.spsta.run_spsta` once per scenario — the same sweep
+``run_spsta(engine="fast")`` runs for them — and hands back the same
+:class:`SweepResult`.
 
 Memory scaling
 --------------
@@ -110,7 +110,6 @@ from repro.core.spsta_fast import (
     WeightTableCache,
     _ControllingJob,
     _convolve_matrix,
-    _gate_tops_generic,
     _GridContext,
     _mix_rows,
     _run_controlling_jobs,
@@ -311,9 +310,10 @@ def run_scenario_batch(netlist: Netlist,
     """Execute N scenarios over one netlist as a batched sweep.
 
     Results match running each scenario on its own
-    (``run_spsta(..., engine="fast")``, the batch-of-one case of this
-    walker): bit-exactly for the closed-form algebras, within grid
-    rounding (1e-12 weights / 1e-9 moments) for :class:`GridAlgebra` —
+    (``run_spsta(..., engine="fast")``): bit-exactly for the closed-form
+    algebras, which run the naive sweep once per scenario, and within grid
+    rounding (1e-12 weights / 1e-9 moments) for :class:`GridAlgebra`,
+    whose scenarios sharing input statistics run as one stacked walk —
     see ``tests/test_scenario_batch.py``.
 
     ``compiled`` reuses a :func:`compile_netlist` program across sweeps;
@@ -351,31 +351,17 @@ def run_scenario_batch(netlist: Netlist,
     compile_seconds = time.perf_counter() - t0
     profile.levels = len(compiled.levels)
 
-    # Scenarios sharing input statistics share weights, occurrence
-    # patterns and probabilities; group them to amortize that state.
-    groups: List[Tuple[object, List[int]]] = []
-    for idx, scenario in enumerate(scenarios):
-        for stats, idxs in groups:
-            if stats == scenario.stats:
-                idxs.append(idx)
-                break
-        else:
-            groups.append((scenario.stats, [idx]))
-
-    wcache = WeightTableCache()
-    results: List[Optional[SpstaResult]] = [None] * len(scenarios)
     t1 = time.perf_counter()
-    for stats, idxs in groups:
-        models = [scenarios[i].delay_model for i in idxs]
-        group_out = _run_group(compiled, stats, models, algebra, wcache,
-                               profile, keep)
-        for i, (prob4, tops) in zip(idxs, group_out):
-            results[i] = SpstaResult(netlist.name, algebra, prob4, tops,
-                                     profile)
+    if isinstance(algebra, GridAlgebra):
+        results = _run_grid_scenarios(compiled, scenarios, algebra, profile,
+                                      keep)
+    else:
+        results = [run_spsta(netlist, scenario.stats, scenario.delay_model,
+                             algebra, engine="naive", profile=profile,
+                             max_parity_fanin=compiled.parity_cap)
+                   for scenario in scenarios]
+        profile.engine = "scenario"
     execute_seconds = time.perf_counter() - t1
-
-    profile.weight_table_hits = wcache.hits
-    profile.weight_table_misses = wcache.misses
     _harvest_kernel_counters(algebra, profile)
     return SweepResult(netlist.name, scenarios, tuple(results), profile,
                        compile_seconds, execute_seconds)
@@ -390,11 +376,11 @@ def run_scenarios_looped(netlist: Netlist,
                          ) -> List[SpstaResult]:
     """Reference loop: one full ``run_spsta(engine="fast")`` per scenario.
 
-    Each call runs this module's walker as a batch of one, so comparing
-    it with :func:`run_scenario_batch` checks that batching N scenarios
-    gives the same results as running them one at a time.  Kept as that
-    differential-test oracle and as the benchmark baseline
-    (``BENCH_scenario_sweep.json``).
+    For :class:`GridAlgebra` each call runs this module's walker as a
+    batch of one, so comparing it with :func:`run_scenario_batch` checks
+    that batching N scenarios gives the same results as running them one
+    at a time.  Kept as that differential-test oracle and as the
+    benchmark baseline (``BENCH_scenario_sweep.json``).
     """
     if algebra_factory is None:
         algebra_factory = MomentAlgebra
@@ -405,7 +391,7 @@ def run_scenarios_looped(netlist: Netlist,
 
 
 # ---------------------------------------------------------------------------
-# Closed-form algebras: per-scenario walk over shared group state.
+# Grid algebra: the stacked (scenario, net, bin) executor.
 # ---------------------------------------------------------------------------
 
 _GroupOut = List[Tuple[Dict[str, Prob4], Dict[str, NetTops]]]
@@ -415,59 +401,37 @@ _GroupOut = List[Tuple[Dict[str, Prob4], Dict[str, NetTops]]]
 _Seeds = Optional[Mapping[str, Tuple[Prob4, NetTops]]]
 
 
-def _run_group(compiled: CompiledNetlist, stats, models, algebra,
-               wcache: WeightTableCache, profile: SpstaProfile,
-               keep: str = "all", seed_tops: _Seeds = None) -> _GroupOut:
-    """Run the scenarios of one stats group (one delay model each)
-    through the walker matching ``algebra``."""
-    if isinstance(algebra, GridAlgebra):
-        return _run_grid_group(compiled, stats, models, algebra, wcache,
-                               profile, keep, seed_tops)
-    return _run_generic_group(compiled, stats, models, algebra, wcache,
-                              profile, seed_tops)
+def _run_grid_scenarios(compiled: CompiledNetlist,
+                        scenarios: Sequence[Scenario],
+                        algebra: GridAlgebra, profile: SpstaProfile,
+                        keep: str) -> List[SpstaResult]:
+    """Every grid scenario of a sweep, one stacked walk per stats group.
 
-
-def _run_generic_group(compiled: CompiledNetlist, stats, models, algebra,
-                       wcache: WeightTableCache, profile: SpstaProfile,
-                       seed_tops: _Seeds = None) -> _GroupOut:
-    """Moment/mixture scenarios of one stats group.
-
-    Launch TOPs, four-value probabilities, and Eq. 11 weight tables are
-    computed once and shared; each scenario then replays the exact fold
-    sequence of the looped fast engine, so results stay bit-identical to
-    ``run_spsta(engine="fast")`` (cached weight tables serve exact-match
-    buckets regardless of which scenario populated them).
+    Scenarios sharing input statistics share weights, occurrence
+    patterns and probabilities, so each group runs as one walk.
     """
-    netlist = compiled.netlist
-    prob4: Dict[str, Prob4] = {}
-    launch: Dict[str, NetTops] = {}
-    with profile.phase("launch"):
-        launch_tops(netlist, stats, algebra, prob4, launch, seeds=seed_tops)
-    for level in compiled.levels:
-        for record in level:
-            gate = record.gate
-            prob4[gate.name] = gate_prob4(
-                gate.gate_type, [prob4[src] for src in gate.inputs])
-    out: _GroupOut = []
-    with profile.phase("propagate"):
-        for model in models:
-            tops: Dict[str, NetTops] = dict(launch)
-            for level in compiled.levels:
-                for record in level:
-                    gate = record.gate
-                    in_probs = [prob4[src] for src in gate.inputs]
-                    in_tops = [tops[src] for src in gate.inputs]
-                    tops[gate.name] = _gate_tops_generic(
-                        gate, in_probs, in_tops, model, algebra, wcache,
-                        compiled.parity_cap, profile)
-                    profile.gates_processed += 1
-            out.append((prob4, tops))
-    return out
+    groups: List[Tuple[object, List[int]]] = []
+    for idx, scenario in enumerate(scenarios):
+        for stats, idxs in groups:
+            if stats == scenario.stats:
+                idxs.append(idx)
+                break
+        else:
+            groups.append((scenario.stats, [idx]))
 
+    name = compiled.netlist.name
+    wcache = WeightTableCache()
+    results: Dict[int, SpstaResult] = {}
+    for stats, idxs in groups:
+        models = [scenarios[i].delay_model for i in idxs]
+        group_out = _run_grid_group(compiled, stats, models, algebra,
+                                    wcache, profile, keep)
+        for i, (prob4, tops) in zip(idxs, group_out):
+            results[i] = SpstaResult(name, algebra, prob4, tops, profile)
+    profile.weight_table_hits = wcache.hits
+    profile.weight_table_misses = wcache.misses
+    return [results[i] for i in range(len(scenarios))]
 
-# ---------------------------------------------------------------------------
-# Grid algebra: the stacked (scenario, net, bin) executor.
-# ---------------------------------------------------------------------------
 
 #: Per-(net, direction) state of a group: occurrence weight (scalar —
 #: statistics-dependent only, shared by every scenario) and the

@@ -335,15 +335,17 @@ def run_spsta(netlist: Netlist,
     (the paper's setup) or a per-launch-point mapping.  ``algebra`` selects
     the TOP abstraction (default: :class:`MomentAlgebra`).
 
-    ``engine`` selects the propagation engine: ``"fast"`` (default) compiles
-    the netlist and runs it through the compiled level walker of
-    :mod:`repro.core.scenario` as a batch of one scenario
-    (:mod:`repro.core.spsta_fast` — subset-weight-table caching,
-    subset-lattice MAX/MIN sharing, and for :class:`GridAlgebra` stacked
-    array kernels with cached FFT delay convolution); ``"naive"`` is the
-    original per-gate reference sweep that follows the paper directly.
-    Both produce the same results (bit-exact for :class:`MomentAlgebra`;
-    within discretization rounding for :class:`GridAlgebra` — see
+    ``engine`` selects the propagation engine, and this function is the
+    one place that routes it.  ``"naive"`` is the per-gate reference sweep
+    that follows the paper's Eq. 11 subset enumeration directly.
+    ``"fast"`` (default) sends :class:`GridAlgebra` runs to the compiled
+    level walker of :mod:`repro.core.scenario` as a batch of one scenario
+    (:func:`repro.core.spsta_fast.run_spsta_fast`: stacked array kernels,
+    subset-lattice MAX sharing, cached FFT delay convolution); every other
+    algebra (moments, mixtures, canonical forms) runs the naive sweep,
+    which is already the faster kernel for scalar closed-form folds.  So
+    the closed-form algebras give bit-identical results on both engines,
+    and the grid algebra agrees within discretization rounding (see
     ``tests/test_spsta_fastpath.py``).
 
     ``profile`` is an optional
@@ -361,14 +363,14 @@ def run_spsta(netlist: Netlist,
     """
     if algebra is None:
         algebra = MomentAlgebra()
-    if engine == "fast":
+    if engine not in ("fast", "naive"):
+        raise ValueError(f"unknown engine {engine!r} (use 'fast' or 'naive')")
+    if engine == "fast" and isinstance(algebra, GridAlgebra):
         from repro.core.spsta_fast import run_spsta_fast
         return run_spsta_fast(netlist, stats, delay_model, algebra,
                               profile=profile,
                               max_parity_fanin=max_parity_fanin,
                               seed_tops=seed_tops)
-    if engine != "naive":
-        raise ValueError(f"unknown engine {engine!r} (use 'fast' or 'naive')")
 
     if profile is None:
         profile = SpstaProfile()

@@ -1,11 +1,15 @@
-"""Fast-path SPSTA engine: the one-scenario case of the compiled walker.
+"""Fast-path SPSTA engine for the grid algebra: the one-scenario case of
+the compiled walker.
 
 Same mathematics as :mod:`repro.core.spsta` (Eq. 11/12 subset enumeration
-over an abstract TOP algebra), restructured for speed.
-:func:`run_spsta_fast` compiles the netlist once
-(:func:`~repro.core.scenario.compile_netlist`) and runs it through the
-compiled level walker of :mod:`repro.core.scenario` as a batch of one
-scenario; this module holds the kernels that walker drives:
+over a TOP algebra), restructured for discretized densities.
+``run_spsta(..., engine="fast")`` calls :func:`run_spsta_fast` for
+:class:`~repro.core.spsta.GridAlgebra` runs only; the closed-form algebras
+(moments, mixtures, canonical forms) run the naive per-gate sweep, which
+is the faster kernel for scalar folds.  :func:`run_spsta_fast` compiles
+the netlist once (:func:`~repro.core.scenario.compile_netlist`) and runs
+it through the compiled level walker of :mod:`repro.core.scenario` as a
+batch of one scenario; this module holds the kernels that walker drives:
 
 - **Subset-weight-table caching** — the per-mask probability products of
   Eq. 11 depend only on the candidates' (switch, static) probability
@@ -13,17 +17,15 @@ scenario; this module holds the kernels that walker drives:
   :class:`WeightTableCache` memoizes the 2^k-entry tables keyed on
   ``(fanin, rounded probability vector)``; each bucket stores the *exact*
   vectors it has seen, so a rounded-key collision can never leak a
-  neighbouring gate's table and the moment engine stays bit-identical to
-  the naive sweep.
+  neighbouring gate's table, and every table folds its factors in the
+  naive sweep's multiplication order.
 
-- **Subset-lattice MAX/MIN sharing** — the naive path folds Clark/grid
-  MAX over each subset from scratch (k·2^(k-1) pairwise folds per gate
-  direction).  Because every algebra folds its k-ary MAX left-to-right,
-  the MAX over a subset equals ``max(MAX(subset minus top bit), top)``:
-  dynamic programming over the precomputed subset lattice computes each
-  mask in ONE pairwise fold (2^k - 1 - k total) with identical results
-  (:func:`_gate_tops_generic` for the closed-form algebras,
-  :func:`_subset_dp` for stacked grid rows).
+- **Subset-lattice MAX/MIN sharing** — the naive path folds the grid MAX
+  over each subset from scratch (k·2^(k-1) pairwise folds per gate
+  direction).  Because the MAX folds left-to-right, the MAX over a subset
+  equals ``max(MAX(subset minus top bit), top)``: dynamic programming over
+  the precomputed subset lattice computes each mask in ONE pairwise fold
+  (2^k - 1 - k total) on stacked rows (:func:`_subset_dp`).
 
 - **Stacked grid kernels** — within a level the walker stacks every
   conditional density into 2-D arrays, so normalization, CDF
@@ -34,12 +36,11 @@ scenario; this module holds the kernels that walker drives:
   :class:`~repro.stats.grid.KernelCache`).
 
 Differential equivalence with the naive engine is pinned by
-``tests/test_spsta_fastpath.py``: bit-exact for :class:`MomentAlgebra`
-(and the other closed-form algebras), ≤1e-9 relative moment error for
-:class:`GridAlgebra`.  The grid fast path assumes the time grid covers the
-support of every density (as any grid analysis must): it normalizes terms
-before the delay convolution instead of after, which is only exact when
-the convolution loses no probability mass off the grid ends.
+``tests/test_spsta_fastpath.py`` to ≤1e-12 absolute weight and ≤1e-9
+relative moment error.  The grid fast path assumes the time grid covers
+the support of every density (as any grid analysis must): it normalizes
+terms before the delay convolution instead of after, which is only exact
+when the convolution loses no probability mass off the grid ends.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import (
-    Any,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -64,17 +63,13 @@ from repro.core.delay import DelayModel
 from repro.core.inputs import InputStats, Prob4
 from repro.core.profiling import SpstaProfile
 from repro.core.spsta import (
+    GridAlgebra,
     NetTops,
     SpstaResult,
-    TopAlgebra,
     TopFunction,
-    _delay_for,
-    _gate_tops,
     _harvest_kernel_counters,
-    _mixed,
 )
-from repro.logic.gates import GateType, gate_spec
-from repro.netlist.core import Gate, Netlist
+from repro.netlist.core import Netlist
 from repro.stats.grid import (
     MASS_WARN_FRACTION,
     GridDensity,
@@ -177,92 +172,6 @@ class WeightTableCache:
         bucket.append((switch, static, table))
         self.misses += 1
         return table
-
-
-# ---------------------------------------------------------------------------
-# Generic fast path (any TOP algebra): lattice DP + cached weight tables.
-# ---------------------------------------------------------------------------
-
-def _fast_subset_terms(in_probs: Sequence[Prob4],
-                       in_tops: Sequence[NetTops],
-                       algebra: TopAlgebra,
-                       delay_for: Callable[[int], Any],
-                       switch_prob: Callable[[Prob4], float],
-                       switch_top: Callable[[NetTops], TopFunction],
-                       static_prob: Callable[[Prob4], float],
-                       use_max: bool, wcache: WeightTableCache,
-                       profile: SpstaProfile) -> List[Tuple[float, Any]]:
-    """Eq. 11 terms via subset-lattice DP (one pairwise fold per mask)."""
-    candidates: List[int] = []
-    static_factor = 1.0
-    for i, (p, t) in enumerate(zip(in_probs, in_tops)):
-        if switch_prob(p) > 0.0 and switch_top(t).occurs:
-            candidates.append(i)
-        else:
-            static_factor *= static_prob(p)
-    if static_factor <= 0.0 or not candidates:
-        return []
-    k = len(candidates)
-    switch = tuple(switch_prob(in_probs[i]) for i in candidates)
-    static = tuple(static_prob(in_probs[i]) for i in candidates)
-    table = wcache.table(switch, static)
-    lat = subset_lattice(k)
-    conds = [switch_top(in_tops[i]).conditional for i in candidates]
-    combine = algebra.maximum if use_max else algebra.minimum
-    sub: List = [None] * (1 << k)
-    terms = []
-    for mask in range(1, 1 << k):
-        idx = mask - 1
-        prev = int(lat.prev[idx])
-        if prev == 0:
-            node = conds[int(lat.top[idx])]
-        else:
-            node = combine([sub[prev], conds[int(lat.top[idx])]])
-            profile.max_folds += 1
-        sub[mask] = node
-        weight = static_factor * table[idx]
-        if weight <= 0.0:
-            continue
-        terms.append((weight,
-                      algebra.add_delay(node, delay_for(int(lat.pop[idx])))))
-    profile.subset_terms += len(terms)
-    return terms
-
-
-def _gate_tops_generic(gate: Gate, in_probs: Sequence[Prob4],
-                       in_tops: Sequence[NetTops],
-                       delay_model: DelayModel, algebra: TopAlgebra,
-                       wcache: WeightTableCache, parity_cap: int,
-                       profile: SpstaProfile) -> NetTops:
-    """Fast per-gate TOPs for closed-form algebras (moments, mixtures,
-    canonical forms); identical call sequence to the naive path except that
-    subset maxima are shared through the lattice DP."""
-    spec = gate_spec(gate.gate_type)
-    if (gate.gate_type in (GateType.BUFF, GateType.NOT) or spec.is_parity):
-        # Single-input and parity gates gain nothing from subset sharing;
-        # reuse the reference implementation (keeps parity bit-exact).
-        return _gate_tops(gate, in_probs, in_tops, delay_model, algebra,
-                          parity_cap, profile)
-    delay_for = _delay_for(delay_model, gate)
-    is_and_core = spec.controlling_value == 0
-
-    def static_prob(p: Prob4) -> float:
-        return p.p_one if is_and_core else p.p_zero
-
-    rise_terms = _fast_subset_terms(
-        in_probs, in_tops, algebra, delay_for,
-        switch_prob=lambda p: p.p_rise, switch_top=lambda t: t.rise,
-        static_prob=static_prob, use_max=is_and_core,
-        wcache=wcache, profile=profile)
-    fall_terms = _fast_subset_terms(
-        in_probs, in_tops, algebra, delay_for,
-        switch_prob=lambda p: p.p_fall, switch_top=lambda t: t.fall,
-        static_prob=static_prob, use_max=not is_and_core,
-        wcache=wcache, profile=profile)
-    core = NetTops(_mixed(rise_terms, algebra), _mixed(fall_terms, algebra))
-    if spec.inverting:
-        core = core.swapped()
-    return core
 
 
 # ---------------------------------------------------------------------------
@@ -623,26 +532,31 @@ def _wrap_top(grid: TimeGrid,
 def run_spsta_fast(netlist: Netlist,
                    stats: Union[InputStats, Mapping[str, InputStats]],
                    delay_model: DelayModel,
-                   algebra: TopAlgebra,
+                   algebra: GridAlgebra,
                    *,
                    profile: Optional[SpstaProfile] = None,
                    max_parity_fanin: Optional[int] = None,
                    seed_tops: Optional[
                        Mapping[str, Tuple[Prob4, NetTops]]] = None,
                    ) -> SpstaResult:
-    """Fast SPSTA sweep: the compiled walker run as a batch of one.
+    """Fast grid SPSTA sweep: the compiled walker run as a batch of one.
 
-    Called through ``run_spsta(..., engine="fast")``; not meant to be
-    invoked directly.  Compiles ``netlist`` and executes the single
-    scenario ``(stats, delay_model)`` through
+    Called through ``run_spsta(..., engine="fast")`` for
+    :class:`~repro.core.spsta.GridAlgebra` runs; not meant to be invoked
+    directly, and it accepts no other algebra.  Compiles ``netlist`` and
+    executes the single scenario ``(stats, delay_model)`` through
     :mod:`repro.core.scenario`'s level walker — the same code
     :func:`~repro.core.scenario.run_scenario_batch` runs for N scenarios.
     ``seed_tops`` pre-seeds boundary launch points (see
     :func:`repro.core.spsta.run_spsta`).
     """
     # Imported here: the walker module builds on this module's kernels.
-    from repro.core.scenario import _run_group, compile_netlist
+    from repro.core.scenario import _run_grid_group, compile_netlist
 
+    if not isinstance(algebra, GridAlgebra):
+        raise TypeError(
+            f"run_spsta_fast runs GridAlgebra only, got "
+            f"{type(algebra).__name__}; use run_spsta(..., engine='fast')")
     if profile is None:
         profile = SpstaProfile()
     profile.engine = "fast"
@@ -653,8 +567,9 @@ def run_spsta_fast(netlist: Netlist,
                                    max_parity_fanin=max_parity_fanin)
     profile.levels = len(compiled.levels)
     wcache = WeightTableCache()
-    [(prob4, tops)] = _run_group(compiled, stats, [delay_model], algebra,
-                                 wcache, profile, seed_tops=seed_tops)
+    [(prob4, tops)] = _run_grid_group(compiled, stats, [delay_model],
+                                      algebra, wcache, profile,
+                                      seed_tops=seed_tops)
     profile.weight_table_hits = wcache.hits
     profile.weight_table_misses = wcache.misses
     _harvest_kernel_counters(algebra, profile)

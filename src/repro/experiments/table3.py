@@ -109,7 +109,7 @@ def run_table3(config: InputStats,
                                               scalar_probe_trials, seed,
                                               delay_model)
                               * n_trials / scalar_probe_trials)
-        shard_summary = mc.summary() if hasattr(mc, "summary") else ""
+        shard_summary = mc.summary() if mc_mode == "stream" else ""
         profile_summary = (spsta_profile.render(indent="  ")
                            if spsta_profile is not None else "")
         rows.append(RuntimeRow(name, t1 - t0, t2 - t1, t3 - t2,

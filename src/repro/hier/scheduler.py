@@ -27,8 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.core.delay import DelayModel, UnitDelay
 from repro.core.inputs import InputStats, Prob4
 from repro.core.profiling import SpstaProfile
-from repro.core.spsta import NetTops, SpstaResult, launch_tops
-from repro.core.spsta_fast import run_spsta_fast
+from repro.core.spsta import NetTops, SpstaResult, launch_tops, run_spsta
 from repro.hier.model import (
     AlgebraSpec,
     InterfaceModel,
@@ -80,9 +79,9 @@ def _analyze_region(payload: _Payload
     algebra = spec.build()
     profile = SpstaProfile()
     t0 = time.perf_counter()
-    result = run_spsta_fast(sub, {}, delay_model, algebra,
-                            profile=profile, max_parity_fanin=parity_cap,
-                            seed_tops=seeds)
+    result = run_spsta(sub, {}, delay_model, algebra, engine="fast",
+                       profile=profile, max_parity_fanin=parity_cap,
+                       seed_tops=seeds)
     seconds = time.perf_counter() - t0
     kept = {net: (result.prob4[net], result.tops[net])
             for net in keep_nets}

@@ -45,7 +45,7 @@ def switching_power(netlist: Netlist,
     :func:`repro.power.density.transition_densities`, from an SPSTA result's
     :meth:`~repro.core.spsta.SpstaResult.toggling_rate`, or from a Monte
     Carlo result's
-    :meth:`~repro.sim.montecarlo.MonteCarloResult.toggling_rate`.
+    :meth:`~repro.sim.montecarlo.StreamResult.toggling_rate`.
     Net load = wire capacitance + one gate-input capacitance per fanout.
     """
     if vdd <= 0.0 or f_clk <= 0.0:

@@ -7,8 +7,9 @@
   arrival is the last output change.  Exact for every gate type; the oracle.
 - :mod:`repro.sim.montecarlo` — numpy-vectorized simulator with closed-form
   per-gate-family rules, validated trial-for-trial against the reference.
-  Two modes: ``"waves"`` retains every per-trial array, ``"stream"`` folds
-  waves into O(1)-per-net statistics and can shard trials over processes.
+  One gate kernel, two modes: ``"waves"`` keeps every per-trial array,
+  ``"stream"`` retires waves once folded into O(1)-per-net statistics and
+  can shard trials over processes.
 - :mod:`repro.sim.accumulator` — the streaming sufficient statistics and
   their shard-merge algebra.
 - :mod:`repro.sim.parallel` — shard planning (``SeedSequence.spawn``
@@ -48,7 +49,6 @@ from repro.sim.faults import (
 )
 from repro.sim.montecarlo import (
     DirectionStats,
-    MonteCarloResult,
     StreamResult,
     run_monte_carlo,
 )
@@ -69,7 +69,6 @@ from repro.sim.sampler import LaunchSample, sample_launch_points
 
 __all__ = [
     "run_monte_carlo",
-    "MonteCarloResult",
     "StreamResult",
     "DirectionStats",
     "DirectionMoments",

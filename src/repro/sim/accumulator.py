@@ -1,11 +1,10 @@
-"""Streaming per-net sufficient statistics for the Monte Carlo engines.
+"""Streaming per-net sufficient statistics for the Monte Carlo simulator.
 
-The wave-retaining engine (:class:`repro.sim.montecarlo.MonteCarloResult`)
-keeps every net's per-trial ``init``/``final``/``time`` arrays alive —
-O(nets x trials) memory — only to answer a handful of summary questions:
-per-direction occurrence probability and arrival moments, signal
-probability, and toggling rate.  This module holds the same answers in
-O(1) state per net:
+Keeping every net's per-trial ``init``/``final``/``time`` arrays alive
+costs O(nets x trials) memory only to answer a handful of summary
+questions: per-direction occurrence probability and arrival moments,
+signal probability, and toggling rate.  This module holds the same
+answers in O(1) state per net:
 
 - :class:`DirectionMoments` — occurrence count plus the running mean and
   the centered sum of squares (``m2``) of the arrival times of one
@@ -15,11 +14,13 @@ O(1) state per net:
   that backs ``signal_probability`` and ``toggling_rate``.
 
 Bit-exactness contract: for a single shard, every accessor reproduces the
-wave-retaining accessor *bit for bit* on the same trials.  That pins the
-exact numpy reductions used here — ``times.mean()`` and
-``sum((t - mean)**2)`` over the *compacted* (boolean-indexed) time array,
-matching ``numpy.std``'s two-pass algorithm — and is enforced by the
-differential tests in ``tests/test_sim_stream.py``.
+direct numpy computation over the kept waves *bit for bit* —
+``count / n_trials``, ``times.mean()`` and ``times.std()`` over the
+compacted (boolean-indexed) arrival times, ``(init + final).mean() / 2``
+and ``(init != final).mean()``.  That pins the exact numpy reductions used
+here — ``times.mean()`` and ``sum((t - mean)**2)`` over the compacted
+time array, matching ``numpy.std``'s two-pass algorithm — and is enforced
+by the differential tests in ``tests/test_sim_stream.py``.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class NetAccumulator:
             rise=self.rise.merge(other.rise),
             fall=self.fall.merge(other.fall))
 
-    # -- accessors (formulae match MonteCarloResult bit for bit) ------------
+    # -- accessors (formulae match numpy over the kept waves bit for bit) ---
 
     def direction_stats(self, direction: str) -> DirectionStats:
         if direction == "rise":
@@ -182,10 +183,10 @@ class NetAccumulator:
 
     @property
     def signal_probability(self) -> float:
-        """Time-average probability of logic one.  The wave accessor sums
-        ``init + final`` (exact small integers in float64) then halves the
-        mean; the integer tally reproduces the identical value.  NaN for
-        an empty accumulator (no trials, no evidence)."""
+        """Time-average probability of logic one.  The direct computation
+        sums ``init + final`` (exact small integers in float64) then halves
+        the mean; the integer tally reproduces the identical value.  NaN
+        for an empty accumulator (no trials, no evidence)."""
         if self.n_trials == 0:
             return float("nan")
         total = 2 * self.n_one + self.rise.count + self.fall.count

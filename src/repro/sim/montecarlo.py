@@ -15,16 +15,19 @@ All trials propagate simultaneously as numpy arrays.  Per-gate-family rules
 Gate delays come from the :class:`~repro.core.delay.DelayModel`; a non-zero
 delay sigma draws an independent Gaussian delay per gate per trial.
 
-Two execution modes share these semantics:
+One gate kernel (:func:`_stream_gate`) runs every trial, and every run
+returns a :class:`StreamResult`.  Each wave is folded into O(1)-per-net
+sufficient statistics (:mod:`repro.sim.accumulator`) as soon as it is
+computed, and the kernel reuses retired trial buffers.  The two modes
+differ only in what they keep:
 
-- ``mode="waves"`` (default) retains every net's per-trial arrays in a
-  :class:`MonteCarloResult` — O(nets x trials) memory, full waveform access.
-- ``mode="stream"`` folds each wave into O(1)-per-net sufficient statistics
-  (:mod:`repro.sim.accumulator`) the moment its last consumer has read it,
+- ``mode="waves"`` (default) is one shard that keeps every net's per-trial
+  arrays — O(nets x trials) memory, full waveform access.
+- ``mode="stream"`` retires each wave once its last consumer has read it,
   optionally sharding the trial budget over a process pool
-  (:mod:`repro.sim.parallel`).  Single-shard streaming runs are bit-exact
-  against the wave engine on the same launch draws; the kernel below reuses
-  retired trial buffers, which also makes it measurably faster.
+  (:mod:`repro.sim.parallel`).  A one-shard stream run draws the same
+  random stream as ``mode="waves"``, so the two give bit-identical
+  statistics on the same seed.
 """
 
 from __future__ import annotations
@@ -61,58 +64,9 @@ from repro.sim.sampler import LaunchSample, sample_launch_points
 
 __all__ = [
     "DirectionStats",
-    "MonteCarloResult",
     "StreamResult",
     "run_monte_carlo",
 ]
-
-
-class MonteCarloResult:
-    """Per-net waveform arrays over all trials, with summary accessors."""
-
-    def __init__(self, netlist_name: str, n_trials: int,
-                 waves: Dict[str, LaunchSample]) -> None:
-        self.netlist_name = netlist_name
-        self.n_trials = n_trials
-        self._waves = waves
-
-    def wave(self, net: str) -> LaunchSample:
-        return self._waves[net]
-
-    @property
-    def nets(self) -> Sequence[str]:
-        return tuple(self._waves)
-
-    def direction_stats(self, net: str, direction: str) -> DirectionStats:
-        """Estimate (P, mean, std) for 'rise' or 'fall' at a net."""
-        wave = self._waves[net]
-        if direction == "rise":
-            mask = ~wave.init & wave.final
-        elif direction == "fall":
-            mask = wave.init & ~wave.final
-        else:
-            raise ValueError(f"direction must be 'rise' or 'fall', "
-                             f"got {direction!r}")
-        count = int(mask.sum())
-        probability = count / self.n_trials
-        if count == 0:
-            return DirectionStats(probability, float("nan"), float("nan"), 0)
-        times = wave.time[mask]
-        return DirectionStats(probability, float(times.mean()),
-                              float(times.std()), count)
-
-    def signal_probability(self, net: str) -> float:
-        """Time-average probability of logic one: trials at constant 1 count
-        fully, transitioning trials count half a cycle (matches
-        :attr:`repro.core.inputs.Prob4.signal_probability`)."""
-        wave = self._waves[net]
-        return float((wave.init.astype(float) + wave.final.astype(float))
-                     .mean() / 2.0)
-
-    def toggling_rate(self, net: str) -> float:
-        """Observed transitions per cycle."""
-        wave = self._waves[net]
-        return float((wave.init != wave.final).mean())
 
 
 def run_monte_carlo(netlist: Netlist,
@@ -130,22 +84,22 @@ def run_monte_carlo(netlist: Netlist,
                     checkpoint: Optional[Union[str, Path]] = None,
                     resume: bool = False,
                     fault_injector: Optional[FaultInjector] = None
-                    ) -> "Union[MonteCarloResult, StreamResult]":
+                    ) -> StreamResult:
     """Simulate ``n_trials`` independent cycles of the whole netlist.
 
     Pass ``samples`` (from :func:`repro.sim.sampler.sample_launch_points`)
     to reuse a fixed set of launch draws — e.g. to compare engines on
     identical trials.
 
-    ``mode="stream"`` returns a :class:`StreamResult` of merged per-net
-    statistics instead of retained waves: the trial budget is split into
-    ``shards`` chunks (each independently seeded via
-    ``SeedSequence.spawn``, so results depend only on the root seed and
-    shard count), executed on up to ``workers`` processes, and folded
-    shard by shard.  Waves are retired as soon as their last consumer has
-    read them; name nets in ``keep_nets`` to retain their full waveforms
-    anyway.  With ``shards=1`` the streaming statistics are bit-exact
-    against this function's ``mode="waves"`` accessors on the same draws.
+    ``mode="waves"`` runs one shard and keeps every net's waveform
+    (:meth:`StreamResult.wave` answers for any net).  ``mode="stream"``
+    splits the trial budget into ``shards`` chunks (each independently
+    seeded via ``SeedSequence.spawn``, so results depend only on the root
+    seed and shard count), executes them on up to ``workers`` processes,
+    and folds them shard by shard.  Waves are retired as soon as their
+    last consumer has read them; name nets in ``keep_nets`` to retain
+    their full waveforms anyway.  With ``shards=1`` the statistics are
+    bit-identical to ``mode="waves"`` on the same draws.
 
     Fault tolerance (stream mode only — see ``docs/robustness.md``):
     ``retry`` re-runs shards that fail transiently; ``checkpoint`` names a
@@ -163,38 +117,30 @@ def run_monte_carlo(netlist: Netlist,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if mode == "stream":
-        return _run_stream(netlist, stats, n_trials, delay_model, rng,
-                           samples, shards, workers, tuple(keep_nets),
-                           retry, deadline, checkpoint, resume,
-                           fault_injector)
-    if mode != "waves":
+    if mode == "waves":
+        if shards != 1 or workers != 1 or keep_nets:
+            raise ValueError("shards/workers/keep_nets require "
+                             "mode='stream' (mode='waves' retains every "
+                             "wave in one shard)")
+        if (retry is not None or deadline is not None
+                or checkpoint is not None or resume
+                or fault_injector is not None):
+            raise ValueError("retry/deadline/checkpoint/resume/"
+                             "fault_injector require mode='stream'")
+        keep_nets = netlist.nets
+    elif mode != "stream":
         raise ValueError(f"mode must be 'waves' or 'stream', got {mode!r}")
-    if shards != 1 or workers != 1 or keep_nets:
-        raise ValueError("shards/workers/keep_nets require mode='stream' "
-                         "(mode='waves' retains every wave in one shard)")
-    if (retry is not None or deadline is not None or checkpoint is not None
-            or resume or fault_injector is not None):
-        raise ValueError("retry/deadline/checkpoint/resume/fault_injector "
-                         "require mode='stream'")
-    if samples is None:
-        samples = sample_launch_points(netlist, stats, n_trials, rng)
-    waves: Dict[str, LaunchSample] = dict(samples)
-    mis_aware = hasattr(delay_model, "delay_mis")
-    for gate in netlist.combinational_gates:
-        operands = [waves[src] for src in gate.inputs]
-        delay_draw = _delay_draw(delay_model, gate, operands, n_trials, rng,
-                                 mis_aware)
-        waves[gate.name] = _gate_wave(gate.gate_type, operands, delay_draw)
-    return MonteCarloResult(netlist.name, n_trials, waves)
+    return _run_stream(netlist, stats, n_trials, delay_model, rng, samples,
+                       shards, workers, tuple(keep_nets), retry, deadline,
+                       checkpoint, resume, fault_injector)
 
 
 def _delay_draw(delay_model: DelayModel, gate: Gate,
                 operands: Sequence[LaunchSample], n_trials: int,
                 rng: np.random.Generator, mis_aware: bool
                 ) -> Union[float, np.ndarray]:
-    """Per-gate delay (scalar) or per-trial delay draw (array) — shared by
-    both execution modes so identical rngs consume identical streams."""
+    """Per-gate delay (scalar) or per-trial delay draw (array), drawn in
+    gate order so identical rngs consume identical streams."""
     if mis_aware:
         return _mis_delay_draw(delay_model, gate, operands, n_trials, rng)
     delay = delay_model.delay(gate)
@@ -226,81 +172,17 @@ def _mis_delay_draw(delay_model: DelayModel, gate: Gate,
     return mus
 
 
-def _gate_wave(gate_type: GateType, operands: Sequence[LaunchSample],
-               delay: Union[float, np.ndarray]) -> LaunchSample:
-    spec = gate_spec(gate_type)
-    if gate_type is GateType.BUFF:
-        src = operands[0]
-        return _delayed(src.init, src.final, src.time, delay)
-    if gate_type is GateType.NOT:
-        src = operands[0]
-        return _delayed(~src.init, ~src.final, src.time, delay)
-    if spec.is_parity:
-        init, final, time = _parity_wave(operands)
-        if spec.inverting:
-            init, final = ~init, ~final
-        return _delayed(init, final, time, delay)
-    init, final, time = _controlling_wave(operands,
-                                          and_core=spec.controlling_value == 0)
-    if spec.inverting:
-        init, final = ~init, ~final
-    return _delayed(init, final, time, delay)
-
-
-def _delayed(init: np.ndarray, final: np.ndarray, time: np.ndarray,
-             delay: Union[float, np.ndarray]) -> LaunchSample:
-    transition = init != final
-    out_time = np.where(transition, time + delay, np.nan)
-    return LaunchSample(init=init, final=final, time=out_time)
-
-
-def _controlling_wave(operands: Sequence[LaunchSample], and_core: bool
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    inits = np.stack([o.init for o in operands])
-    finals = np.stack([o.final for o in operands])
-    times = np.stack([o.time for o in operands])
-    rising = ~inits & finals
-    falling = inits & ~finals
-    if and_core:
-        init = inits.all(axis=0)
-        final = finals.all(axis=0)
-        t_rise = np.where(rising, times, -math.inf).max(axis=0)
-        t_fall = np.where(falling, times, math.inf).min(axis=0)
-    else:
-        init = inits.any(axis=0)
-        final = finals.any(axis=0)
-        t_rise = np.where(rising, times, math.inf).min(axis=0)
-        t_fall = np.where(falling, times, -math.inf).max(axis=0)
-    out_rise = ~init & final
-    out_fall = init & ~final
-    time = np.where(out_rise, t_rise, np.where(out_fall, t_fall, np.nan))
-    return init, final, time
-
-
-def _parity_wave(operands: Sequence[LaunchSample]
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    inits = np.stack([o.init for o in operands])
-    finals = np.stack([o.final for o in operands])
-    times = np.stack([o.time for o in operands])
-    init = np.bitwise_xor.reduce(inits, axis=0)
-    final = np.bitwise_xor.reduce(finals, axis=0)
-    switching = inits != finals
-    t_last = np.where(switching, times, -math.inf).max(axis=0)
-    time = np.where(init != final, t_last, np.nan)
-    return init, final, time
-
-
 # ---------------------------------------------------------------------------
 # Streaming (memory-bounded, sharded) mode
 # ---------------------------------------------------------------------------
 
 class StreamResult:
-    """Merged streaming statistics of a sharded Monte Carlo run.
+    """Merged per-net statistics of a Monte Carlo run.
 
-    Offers the same summary accessors as :class:`MonteCarloResult`
-    (``direction_stats`` / ``signal_probability`` / ``toggling_rate``)
-    backed by O(1)-per-net accumulators instead of retained waves.
-    Waveforms exist only for nets that were named in ``keep_nets``.
+    The summary accessors (``direction_stats`` / ``signal_probability`` /
+    ``toggling_rate``) are backed by O(1)-per-net accumulators.
+    Waveforms exist for every net of a ``mode="waves"`` run, and for the
+    nets named in ``keep_nets`` of a ``mode="stream"`` run.
 
     ``n_trials`` is the *effective* trial count (what the accumulators
     actually hold).  After a deadline-bounded run it can fall short of
@@ -425,14 +307,15 @@ def _stream_gate(gate_type: GateType, operands: Sequence[LaunchSample],
                  rise_out: np.ndarray, fall_out: np.ndarray,
                  tmp_bool: np.ndarray
                  ) -> Tuple[LaunchSample, np.ndarray, np.ndarray]:
-    """The wave-engine gate rules, restated without redundant passes.
+    """One gate's output wave under the module's gate rules.
 
     Returns ``(wave, rise_mask, fall_mask)``; the masks live in the caller's
-    scratch buffers.  Bit-exactness with :func:`_gate_wave` rests on two
-    invariants: a wave's ``time`` is NaN exactly where ``init == final``
-    (so ``fmax``/``fmin`` folds see only switching arrivals, reproducing the
-    masked MIN/MAX reductions), and ``NaN + delay`` stays NaN (so the
-    glitch-filter ``where`` is already encoded in the time array).
+    scratch buffers.  The rules need no per-input switching masks because
+    of two invariants: a wave's ``time`` is NaN exactly where
+    ``init == final`` (so ``fmax``/``fmin`` folds see only switching
+    arrivals, giving the masked MIN/MAX of the switching inputs), and
+    ``NaN + delay`` stays NaN (so the glitch filter is already encoded in
+    the time array).
     """
     spec = gate_spec(gate_type)
     init = pool.take_bool()

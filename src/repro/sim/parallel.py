@@ -171,7 +171,7 @@ def plan_shards(n_trials: int, shards: int,
     The remainder goes to the leading shards so every shard size differs by
     at most one trial.  With a single shard no child stream is spawned: the
     caller's generator is used as-is, keeping one-shard streaming runs on
-    the same draw sequence as the wave-retaining engine.
+    the same draw sequence as a ``mode="waves"`` run.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")

@@ -4,12 +4,12 @@ One :func:`verify_circuit` call runs a circuit through all six SPSTA
 engine/algebra combinations, the scenario-batched backend
 (:mod:`repro.core.scenario`) on every algebra, the hierarchical
 partition scheduler (:mod:`repro.hier`, ``keep="all"``) on every
-algebra, plus both Monte Carlo simulators, then checks every pair named
-in
+algebra, plus the Monte Carlo simulator and the scalar event-level
+simulator (:mod:`repro.sim.reference`), then checks every pair named in
 :data:`repro.verify.policies.POLICIES` net by net:
 
 - replication pairs (``fast-vs-naive/*``, ``batched-vs-fast/*``,
-  ``hier-vs-flat/*``, ``wave-vs-stream/mc``) over every net — the
+  ``hier-vs-flat/*``, ``stream-vs-event/mc``) over every net — the
   engines share their mathematics, so any visible disagreement is a bug;
 - abstraction pairs (``*-vs-grid``) and statistical pairs (``*-vs-mc``)
   over the netlist's endpoints, where the tolerance policy encodes the
@@ -70,6 +70,8 @@ from repro.netlist.core import Netlist
 from repro.netlist.generator import GeneratorProfile, generate_circuit
 from repro.sim.montecarlo import run_monte_carlo
 from repro.sim.parallel import RetryPolicy
+from repro.sim.reference import NetState, simulate_trial
+from repro.sim.sampler import LaunchSample, sample_launch_points
 from repro.stats.grid import TimeGrid
 from repro.stats.normal import Normal
 from repro.bounds import (
@@ -79,6 +81,7 @@ from repro.bounds import (
     sample_signal_probabilities,
 )
 from repro.logic.bdd import BDDManager
+from repro.logic.fourvalue import final_bit, from_bits, init_bit
 from repro.verify.policies import (
     CONTAINMENT_POLICIES,
     GUARDRAIL_MAX_CLIP_FRACTION,
@@ -104,6 +107,11 @@ HIER_SWEEP_REGIONS = 3
 
 DEFAULT_TRIALS = 20_000
 DEFAULT_BENCHES: Tuple[str, ...] = ("s27", "s208")
+
+#: Trials replayed through the scalar event simulator for
+#: ``stream-vs-event/mc`` (the first ones of the Monte Carlo run's launch
+#: samples); the oracle runs one Python call per gate per trial.
+EVENT_ORACLE_TRIALS = 256
 
 #: (probability, mean, std, occurrence count or None) for one transition —
 #: the common currency every engine's result is adapted into.
@@ -263,6 +271,45 @@ def _mc_stats(result) -> _StatsFn:
     return get
 
 
+def _event_stats(netlist: Netlist, samples: Mapping[str, LaunchSample],
+                 n_trials: int, delay_model: DelayModel) -> _StatsFn:
+    """Per-net statistics of the scalar event simulator, replaying
+    ``samples`` trial by trial and summarizing with plain numpy."""
+    init: Dict[str, np.ndarray] = {}
+    final: Dict[str, np.ndarray] = {}
+    times: Dict[str, np.ndarray] = {}
+    for trial in range(n_trials):
+        launch: Dict[str, NetState] = {}
+        for net, wave in samples.items():
+            t = float(wave.time[trial])
+            launch[net] = (from_bits(int(wave.init[trial]),
+                                     int(wave.final[trial])),
+                           None if math.isnan(t) else t)
+        states = simulate_trial(netlist, launch, delay_model)
+        for net, (symbol, arrival) in states.items():
+            if net not in init:
+                init[net] = np.zeros(n_trials, dtype=bool)
+                final[net] = np.zeros(n_trials, dtype=bool)
+                times[net] = np.full(n_trials, np.nan)
+            init[net][trial] = init_bit(symbol)
+            final[net][trial] = final_bit(symbol)
+            if arrival is not None:
+                times[net][trial] = arrival
+
+    def get(net: str, direction: str) -> _Stats:
+        if direction == "rise":
+            mask = ~init[net] & final[net]
+        else:
+            mask = init[net] & ~final[net]
+        count = int(mask.sum())
+        if count == 0:
+            return 0.0, math.nan, math.nan, 0
+        arrivals = times[net][mask]
+        return (count / n_trials, float(arrivals.mean()),
+                float(arrivals.std()), count)
+    return get
+
+
 def _compare_pair(policy: TolerancePolicy, nets: Sequence[str],
                   stats_a: _StatsFn, stats_b: _StatsFn) -> PairCheck:
     """Sweep one engine pair over ``nets`` under its tolerance policy."""
@@ -394,9 +441,12 @@ def verify_circuit(netlist: Netlist,
     """Run every engine on one circuit and check every pair's policy.
 
     Each SPSTA run gets a fresh algebra (its own mass ledger and caches)
-    and its own :class:`SpstaProfile`; the two Monte Carlo runs replay the
-    same root seed, which makes ``wave-vs-stream/mc`` a bit-exactness
-    check, not a statistical one.
+    and its own :class:`SpstaProfile`.  One full-budget Monte Carlo run
+    serves every statistical pair.  For ``stream-vs-event/mc`` the first
+    :data:`EVENT_ORACLE_TRIALS` of its launch samples run through the
+    stream kernel and the scalar event simulator at a sigma-0 corner of
+    ``delay_model`` — deterministic delays both sides replay exactly —
+    which makes that pair a bit-exactness check, not a statistical one.
 
     Unless ``preflight=False``, the circuit first passes through the
     static linter (``repro.lint``) configured exactly like the sweep —
@@ -405,9 +455,9 @@ def verify_circuit(netlist: Netlist,
     diagnostics instead of a mid-propagation traceback; error-level
     findings raise :class:`~repro.lint.engine.LintFailure`.
 
-    ``mc_retry`` hardens the streaming oracle run against transient
-    shard failures (retries re-run the identical seed stream, so a
-    retried run stays bit-exact — see docs/robustness.md).
+    ``mc_retry`` hardens the Monte Carlo run against transient shard
+    failures (retries re-run the identical seed stream, so a retried run
+    stays bit-exact — see docs/robustness.md).
     """
     t0 = time.perf_counter()
     grid = sweep_grid_for(netlist)
@@ -479,21 +529,31 @@ def verify_circuit(netlist: Netlist,
                          factory(), engine="naive")
         incremental_runs[algebra_name] = (inc.result(), full)
 
-    mc_wave = run_monte_carlo(netlist, config, trials, delay_model,
-                              rng=np.random.default_rng(seed))
-    mc_stream = run_monte_carlo(netlist, config, trials, delay_model,
-                                rng=np.random.default_rng(seed),
-                                mode="stream", shards=1, retry=mc_retry)
+    # Drawing the launch samples up front from the generator the run then
+    # continues with leaves the run's draws unchanged.
+    rng = np.random.default_rng(seed)
+    samples = sample_launch_points(netlist, config, trials, rng)
+    mc = run_monte_carlo(netlist, config, trials, delay_model, rng=rng,
+                         samples=samples, mode="stream", shards=1,
+                         retry=mc_retry)
+    oracle_trials = min(trials, EVENT_ORACLE_TRIALS)
+    head = {net: LaunchSample(init=w.init[:oracle_trials],
+                              final=w.final[:oracle_trials],
+                              time=w.time[:oracle_trials])
+            for net, w in samples.items()}
+    exact_delays = ScaledDelay(delay_model, Corner("sigma-0", 1.0, 0.0))
+    mc_exact = run_monte_carlo(netlist, config, oracle_trials, exact_delays,
+                               samples=head, mode="stream", retry=mc_retry)
 
     all_nets = sorted(runs[("moment", "naive")].tops)
     endpoints = list(dict.fromkeys(netlist.endpoints))
-    mc_nets = sorted(mc_wave.nets)
+    mc_nets = sorted(mc.nets)
 
     sides: Dict[str, Tuple[_StatsFn, Sequence[str]]] = {
         "moment": (_spsta_stats(runs[("moment", "fast")]), all_nets),
         "mixture": (_spsta_stats(runs[("mixture", "fast")]), all_nets),
         "grid": (_spsta_stats(runs[("grid", "fast")]), all_nets),
-        "mc": (_mc_stats(mc_wave), mc_nets),
+        "mc": (_mc_stats(mc), mc_nets),
     }
 
     checks: List[PairCheck] = []
@@ -522,11 +582,11 @@ def verify_circuit(netlist: Netlist,
             policy, all_nets,
             _spsta_stats(inc_result), _spsta_stats(full_result)))
     checks.append(_compare_pair(
-        POLICIES["wave-vs-stream/mc"], mc_nets,
-        _mc_stats(mc_wave), _mc_stats(mc_stream)))
+        POLICIES["stream-vs-event/mc"], mc_nets, _mc_stats(mc_exact),
+        _event_stats(netlist, head, oracle_trials, exact_delays)))
     checks.append(_compare_pair(
         POLICIES["batched-vs-mc"], endpoints,
-        _spsta_stats(batched_runs["grid"]), _mc_stats(mc_wave)))
+        _spsta_stats(batched_runs["grid"]), _mc_stats(mc)))
     for pair in ("moment-vs-grid", "mixture-vs-grid",
                  "moment-vs-mc", "mixture-vs-mc", "grid-vs-mc"):
         policy = POLICIES[pair]

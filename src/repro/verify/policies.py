@@ -71,13 +71,13 @@ POLICIES: Dict[str, TolerancePolicy] = {
     policy.pair: policy for policy in (
         TolerancePolicy(
             pair="fast-vs-naive/moment",
-            description="Same Clark formulas, cached weight tables fold in "
-                        "the naive multiplication order: bit-exact.",
+            description="run_spsta routes the fast engine's closed-form "
+                        "runs to the naive sweep itself: bit-exact.",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="fast-vs-naive/mixture",
-            description="Subset-lattice DP reproduces the naive "
-                        "left-to-right MAX folds exactly: bit-exact.",
+            description="As fast-vs-naive/moment — one sweep serves "
+                        "both engines: bit-exact.",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="fast-vs-naive/grid",
@@ -86,10 +86,12 @@ POLICIES: Dict[str, TolerancePolicy] = {
                         "~1e-9 on a 2k grid.",
             abs_probability=1e-9, abs_mean=1e-6, abs_std=1e-6),
         TolerancePolicy(
-            pair="wave-vs-stream/mc",
-            description="Single-shard streaming replays the wave engine's "
-                        "draws and folds them into accumulators: bit-exact "
-                        "up to float summation order.",
+            pair="stream-vs-event/mc",
+            description="The stream kernel against the scalar event "
+                        "simulator (repro.sim.reference) on the same launch "
+                        "samples at a sigma-0 delay corner: every trial "
+                        "matches exactly, so the statistics agree up to "
+                        "float summation order.",
             abs_probability=1e-12, abs_mean=1e-9, abs_std=1e-9),
         TolerancePolicy(
             pair="moment-vs-grid",
@@ -132,14 +134,13 @@ POLICIES: Dict[str, TolerancePolicy] = {
             min_occurrences=200, endpoints_only=True),
         TolerancePolicy(
             pair="batched-vs-fast/moment",
-            description="The scenario-batched backend replays the fast "
-                        "engine's closed-form fold sequence over shared "
-                        "group state: bit-exact.",
+            description="The scenario-batched backend runs the same naive "
+                        "sweep once per closed-form scenario: bit-exact.",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="batched-vs-fast/mixture",
-            description="As batched-vs-fast/moment — the generic walk is "
-                        "shared, only setup is amortized: bit-exact.",
+            description="As batched-vs-fast/moment — one naive sweep per "
+                        "scenario: bit-exact.",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="batched-vs-fast/grid",

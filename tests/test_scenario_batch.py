@@ -8,9 +8,10 @@ scenarios stacked has to produce what N independent
 contract is graded per algebra exactly like the fast-vs-naive contract
 (``tests/test_spsta_fastpath.py``):
 
-- :class:`MomentAlgebra` / :class:`MixtureAlgebra`: bit-exact — the
-  batched backend replays the generic walk per scenario over shared
-  launch/probability/weight-table state, never reordering a fold.
+- :class:`MomentAlgebra` / :class:`MixtureAlgebra` /
+  :class:`CanonicalTopAlgebra`: bit-exact — the batched backend runs the
+  naive sweep once per scenario, the same sweep
+  ``run_spsta(engine="fast")`` runs for them.
 - :class:`GridAlgebra`: weights within 1e-12 absolute, conditional
   moments within 1e-9 relative — cross-scenario stacking regroups the
   batched divisions and segment sums.
@@ -39,7 +40,13 @@ from repro.core.scenario import (
     scenarios_from_corners,
     scenarios_from_stats,
 )
-from repro.core.spsta import GridAlgebra, MixtureAlgebra, MomentAlgebra
+from repro.core.spsta import (
+    GridAlgebra,
+    MixtureAlgebra,
+    MomentAlgebra,
+    run_spsta,
+)
+from repro.core.spsta_canonical import CanonicalTopAlgebra
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.generator import GeneratorProfile, generate_circuit
 from repro.stats.grid import TimeGrid
@@ -124,6 +131,23 @@ def test_mixture_sweep_bitexact(count):
         MixtureAlgebra)
     for scenario, a, b in zip(sweep.scenarios, sweep.results, looped):
         _assert_bitexact(a, b, scenario.name)
+
+
+@pytest.mark.parametrize("count", (2, 64))
+def test_canonical_sweep_bitexact(count):
+    """Canonical forms batch like the other closed-form algebras, and
+    every batched result also equals a direct naive run bit for bit."""
+    netlist = benchmark_circuit("s298")
+    scenarios = _corner_scenarios(count, NormalDelay(1.0, 0.1))
+    sweep, looped = _run_both(netlist, scenarios,
+                              lambda: CanonicalTopAlgebra(netlist))
+    for scenario, a, b in zip(sweep.scenarios, sweep.results, looped):
+        _assert_bitexact(a, b, scenario.name)
+    for scenario in (scenarios[0], scenarios[-1]):
+        naive = run_spsta(netlist, scenario.stats, scenario.delay_model,
+                          CanonicalTopAlgebra(netlist), engine="naive")
+        _assert_bitexact(sweep.result_for(scenario.name), naive,
+                         scenario.name)
 
 
 def test_moment_sweep_mixed_stats_groups():

@@ -4,7 +4,7 @@ Two engine-correctness properties, each exercised on seeded
 :mod:`repro.netlist.generator` circuits so gate-type mixes, fan-ins and
 topologies vary beyond the hand-picked benchmarks:
 
-1. Both vectorized engines agree with the scalar event simulator
+1. The vectorized engine agrees with the scalar event simulator
    (:mod:`repro.sim.reference`) per trial, on every net.
 2. Sharded streaming runs with the same root seed produce identical
    merged statistics for any worker count.
@@ -46,21 +46,18 @@ def test_vectorized_matches_reference_per_trial(seed, config):
     n_trials = 40
     samples = sample_launch_points(netlist, config, n_trials,
                                    np.random.default_rng(seed))
-    waves = run_monte_carlo(netlist, config, n_trials, samples=samples)
     stream = run_monte_carlo(netlist, config, n_trials, samples=samples,
                              mode="stream", keep_nets=list(netlist.nets))
     for trial in range(n_trials):
         scalar = _scalar_states(netlist, samples, trial)
         for net, (symbol, t) in scalar.items():
-            for engine in (waves, stream):
-                wave = engine.wave(net)
-                got = from_bits(int(wave.init[trial]),
-                                int(wave.final[trial]))
-                assert got is symbol, (net, trial, got, symbol)
-                if t is None:
-                    assert np.isnan(wave.time[trial]), (net, trial)
-                else:
-                    assert wave.time[trial] == pytest.approx(t), (net, trial)
+            wave = stream.wave(net)
+            got = from_bits(int(wave.init[trial]), int(wave.final[trial]))
+            assert got is symbol, (net, trial, got, symbol)
+            if t is None:
+                assert np.isnan(wave.time[trial]), (net, trial)
+            else:
+                assert wave.time[trial] == pytest.approx(t), (net, trial)
 
 
 @settings(max_examples=8, deadline=None)

@@ -1,11 +1,14 @@
 """Tests for the streaming Monte Carlo mode.
 
 The load-bearing test is the differential one: on the same launch draws
-with ``shards=1``, every streaming accessor must be *bit-exact* equal to
-the wave-retaining accessor — that is what licenses dropping the waves.
-The second pillar is seeding: the same root seed must give identical
-merged statistics at any worker count.
+with ``shards=1``, every accessor of a ``mode="waves"`` run (which keeps
+every wave) and of a ``mode="stream"`` run (which keeps almost none) must
+be *bit-exact* equal to the direct numpy summary of the kept waves — that
+is what licenses dropping the waves.  The second pillar is seeding: the
+same root seed must give identical merged statistics at any worker count.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +19,20 @@ from repro.netlist.benchmarks import benchmark_circuit
 from repro.sim.montecarlo import StreamResult, run_monte_carlo
 from repro.sim.parallel import plan_shards, run_shards
 from repro.sim.sampler import sample_launch_points
+
+
+def _direct_stats(wave, direction, n_trials):
+    """(P, mean, std, occurrences) of one direction, straight from a kept
+    wave with numpy — independent of the accumulators."""
+    if direction == "rise":
+        mask = ~wave.init & wave.final
+    else:
+        mask = wave.init & ~wave.final
+    count = int(mask.sum())
+    if count == 0:
+        return count / n_trials, math.nan, math.nan, 0
+    times = wave.time[mask]
+    return count / n_trials, float(times.mean()), float(times.std()), count
 
 
 def _assert_bit_exact(netlist, config, delay_model, n_trials=1500, seed=11):
@@ -29,20 +46,26 @@ def _assert_bit_exact(netlist, config, delay_model, n_trials=1500, seed=11):
                          rng=np.random.default_rng(seed + 1),
                          samples=samples, mode="stream", keep_nets=keep)
     assert isinstance(st, StreamResult)
-    assert set(st.nets) == set(wav.nets)
+    assert set(st.nets) == set(wav.nets) == set(netlist.nets)
     for net in wav.nets:
-        assert st.signal_probability(net) == wav.signal_probability(net)
-        assert st.toggling_rate(net) == wav.toggling_rate(net)
-        for direction in ("rise", "fall"):
-            a = wav.direction_stats(net, direction)
-            b = st.direction_stats(net, direction)
-            assert b.probability == a.probability, (net, direction)
-            assert b.n_occurrences == a.n_occurrences, (net, direction)
-            if a.n_occurrences == 0:
-                assert np.isnan(b.mean) and np.isnan(b.std)
-            else:
-                assert b.mean == a.mean, (net, direction)
-                assert b.std == a.std, (net, direction)
+        wave = wav.wave(net)
+        signal = float((wave.init.astype(float) + wave.final.astype(float))
+                       .mean() / 2.0)
+        toggling = float((wave.init != wave.final).mean())
+        for result in (wav, st):
+            assert result.signal_probability(net) == signal, net
+            assert result.toggling_rate(net) == toggling, net
+            for direction in ("rise", "fall"):
+                p, mean, std, count = _direct_stats(wave, direction,
+                                                    n_trials)
+                got = result.direction_stats(net, direction)
+                assert got.probability == p, (net, direction)
+                assert got.n_occurrences == count, (net, direction)
+                if count == 0:
+                    assert np.isnan(got.mean) and np.isnan(got.std)
+                else:
+                    assert got.mean == mean, (net, direction)
+                    assert got.std == std, (net, direction)
     for net in keep:
         kept, full = st.wave(net), wav.wave(net)
         assert np.array_equal(kept.init, full.init)
@@ -138,11 +161,17 @@ class TestStreamBehavior:
         with pytest.raises(ValueError, match="stream"):
             run_monte_carlo(and2_circuit, CONFIG_I, 10, shards=4)
 
-    def test_sample_length_mismatch_rejected(self, and2_circuit, rng):
+    @pytest.mark.parametrize("n_trials", [100, 0])
+    @pytest.mark.parametrize("mode", ["waves", "stream"])
+    def test_sample_length_mismatch_rejected(self, and2_circuit, rng, mode,
+                                             n_trials):
+        """Samples holding 50 trials cannot back a run of any other
+        length: the statistics would be taken over the wrong
+        denominator."""
         samples = sample_launch_points(and2_circuit, CONFIG_I, 50, rng)
         with pytest.raises(ValueError, match="trials"):
-            run_monte_carlo(and2_circuit, CONFIG_I, 100, samples=samples,
-                            mode="stream")
+            run_monte_carlo(and2_circuit, CONFIG_I, n_trials,
+                            samples=samples, mode=mode)
 
     def test_kept_waves_concatenate_across_shards(self, chain_circuit):
         samples = sample_launch_points(chain_circuit, CONFIG_I, 400,

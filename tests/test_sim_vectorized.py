@@ -97,6 +97,9 @@ class TestSampler:
 
 
 class TestMonteCarloResult:
+    """Accessors of the result every ``run_monte_carlo`` call returns
+    (:class:`~repro.sim.montecarlo.StreamResult`), default mode."""
+
     def test_direction_stats_probabilities_sum(self, and2_circuit, rng):
         mc = run_monte_carlo(and2_circuit, CONFIG_I, 20_000, rng=rng)
         rise = mc.direction_stats("y", "rise")

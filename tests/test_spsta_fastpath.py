@@ -1,15 +1,17 @@
 """Differential tests pinning the fast SPSTA engine to the naive reference.
 
-The fast engine (:mod:`repro.core.spsta_fast`) must be a pure optimization:
-same inputs, same results.  The contract is graded per algebra:
+The fast engine must be a pure optimization: same inputs, same results.
+The contract is graded per algebra:
 
-- :class:`MomentAlgebra` / :class:`MixtureAlgebra`: bit-exact.  The fast
-  path folds the same factors in the same order (cached weight tables,
-  subset-lattice DP matching the naive pairwise fold order).
-- :class:`GridAlgebra`: equal within discretization rounding.  Batched
-  normalization, retention-vector pre-mixing, and FFT convolution reorder
-  floating-point reductions, so weights are compared to 1e-12 absolute
-  (parity gates also sum 3^k instead of 4^k terms — a deliberate
+- :class:`MomentAlgebra` / :class:`MixtureAlgebra` /
+  :class:`CanonicalTopAlgebra`: bit-exact.  ``run_spsta`` runs the naive
+  sweep for the closed-form algebras on either engine, so these tests pin
+  that routing.
+- :class:`GridAlgebra` (the compiled walker of
+  :mod:`repro.core.spsta_fast`): equal within discretization rounding.
+  Batched normalization, retention-vector pre-mixing, and FFT convolution
+  reorder floating-point reductions, so weights are compared to 1e-12
+  absolute (parity gates also sum 3^k instead of 4^k terms — a deliberate
   refactoring worth a ULP) and conditional moments to 1e-9 relative.
 """
 
@@ -26,6 +28,7 @@ from repro.core.spsta import (
     MomentAlgebra,
     run_spsta,
 )
+from repro.core.spsta_canonical import CanonicalTopAlgebra
 from repro.logic.gates import GateType
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.core import Gate, Netlist
@@ -99,6 +102,15 @@ def test_mixture_engine_bitexact(delay):
     _assert_bitexact(fast, naive)
 
 
+@pytest.mark.parametrize("delay", DELAYS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("circuit", CIRCUITS)
+def test_canonical_engine_bitexact(circuit, delay):
+    netlist = benchmark_circuit(circuit)
+    fast, naive = _both(netlist, CONFIG_I, delay,
+                        lambda: CanonicalTopAlgebra(netlist))
+    _assert_bitexact(fast, naive)
+
+
 @pytest.mark.parametrize("circuit,delay", [
     ("s27", NormalDelay(1.0, 0.1)),
     ("s27", UnitDelay()),
@@ -167,17 +179,27 @@ def _assert_within_policy(fast, naive, policy):
                 assert abs(sa - sb) <= policy.abs_std, (net, direction)
 
 
-def test_seed_tops_moment_bitexact():
-    """Boundary TOPs seeded at a region's cut pins (the hier hook) take
-    the same path through both engines; launch points left unseeded fall
-    back to the input statistics."""
-    sub, seeds = _seeded_region(MomentAlgebra, NormalDelay(1.0, 0.1))
-    fast, naive = _both_seeded(sub, seeds, NormalDelay(1.0, 0.1),
-                               MomentAlgebra)
+def _assert_seeded_bitexact(algebra):
+    sub, seeds = _seeded_region(algebra, NormalDelay(1.0, 0.1))
+    fast, naive = _both_seeded(sub, seeds, NormalDelay(1.0, 0.1), algebra)
     _assert_bitexact(fast, naive)
     for net, (prob4, tops) in seeds.items():
         assert fast.prob4[net] == prob4
         assert fast.tops[net] == tops
+
+
+def test_seed_tops_moment_bitexact():
+    """Boundary TOPs seeded at a region's cut pins (the hier hook) take
+    the same path through both engines; launch points left unseeded fall
+    back to the input statistics."""
+    _assert_seeded_bitexact(MomentAlgebra)
+
+
+def test_seed_tops_canonical_bitexact():
+    """Canonical forms live on the flat netlist's launch axes, so seeded
+    boundary TOPs carry across the region cut unchanged."""
+    _assert_seeded_bitexact(
+        lambda: CanonicalTopAlgebra(benchmark_circuit("s1196")))
 
 
 @pytest.mark.parametrize("delay", [NormalDelay(1.0, 0.1), MisDelay()],

@@ -86,7 +86,7 @@ class TestComparePair:
 class TestPolicies:
     def test_every_pair_has_a_policy(self):
         expected = {"fast-vs-naive/moment", "fast-vs-naive/mixture",
-                    "fast-vs-naive/grid", "wave-vs-stream/mc",
+                    "fast-vs-naive/grid", "stream-vs-event/mc",
                     "moment-vs-grid", "mixture-vs-grid",
                     "moment-vs-mc", "mixture-vs-mc", "grid-vs-mc",
                     "batched-vs-fast/moment", "batched-vs-fast/mixture",
