@@ -432,16 +432,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _parse_grid_spec(spec: str):
-    from repro.stats.grid import TimeGrid
+    from repro.stats.grid import parse_grid_spec
 
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise SystemExit(
-            f"--grid expects START:STOP:N (e.g. -8:60:2048), got {spec!r}")
     try:
-        return TimeGrid(float(parts[0]), float(parts[1]), int(parts[2]))
+        return parse_grid_spec(spec)
     except ValueError as exc:
-        raise SystemExit(f"bad --grid {spec!r}: {exc}")
+        raise SystemExit(f"--grid: {exc}")
 
 
 def _parse_corner_list(spec: str):

@@ -3,7 +3,8 @@
 Layers:
 
 - :mod:`repro.serve.protocol` — versioned request/response JSON schema,
-  validation (jsonschema-optional), delay/algebra decoding, envelopes;
+  validation (dependency-free, :class:`repro.schema.CompiledSchema`),
+  delay/algebra decoding, envelopes;
 - :mod:`repro.serve.cache` — LRU result cache with an optional shared
   on-disk tier, keyed by canonical fingerprints;
 - :mod:`repro.serve.daemon` — the :class:`Server` core (sessions, lint

@@ -35,9 +35,9 @@ error carries the structured report), ``unknown-circuit``,
 ``unknown-gate``, ``internal``.
 
 Validation mirrors :mod:`repro.experiments.bench_schema`: a JSON-Schema
-document (:data:`REQUEST_SCHEMA`) is the normative format, `jsonschema`
-is used when importable, and an equivalent structural check is the
-fallback — the daemon must not depend on optional packages.
+document (:data:`REQUEST_SCHEMA`) is the normative format, and the
+package's dependency-free validator, :class:`repro.schema.CompiledSchema`,
+checks every request against it with ``jsonschema``'s messages.
 """
 
 from __future__ import annotations
@@ -54,13 +54,8 @@ from repro.core.delay import (
 from repro.core.inputs import CONFIG_I, CONFIG_II, InputStats
 from repro.core.nldm import FrozenDelays
 from repro.hier.model import AlgebraSpec
-from repro.schema import CompiledSchema
-from repro.stats.grid import TimeGrid
-
-try:                                        # pragma: no cover - optional
-    import jsonschema                       # type: ignore[import-untyped]
-except ImportError:                         # pragma: no cover
-    jsonschema = None
+from repro.schema import CompiledSchema, SchemaError
+from repro.stats.grid import TimeGrid, parse_grid_spec
 
 #: Bump on breaking protocol changes (mirrors the lint-report convention).
 PROTOCOL_VERSION = 1
@@ -129,49 +124,6 @@ class RequestError(ValueError):
         self.code = code
 
 
-def _fail(message: str) -> None:
-    raise RequestError(message)
-
-
-def _validate_fallback(payload: Dict[str, Any]) -> None:
-    if payload.get("v") != PROTOCOL_VERSION:
-        _fail(f"v must be {PROTOCOL_VERSION}, got {payload.get('v')!r}")
-    op = payload.get("op")
-    if op not in OPERATIONS:
-        _fail(f"op must be one of {OPERATIONS}, got {op!r}")
-    request_id = payload.get("id")
-    if request_id is not None and not isinstance(request_id, (str, int,
-                                                              float)):
-        _fail(f"id must be a JSON scalar, got {type(request_id).__name__}")
-    circuit = payload.get("circuit")
-    if circuit is not None and (not isinstance(circuit, str)
-                                or not circuit):
-        _fail(f"circuit must be a non-empty string, got {circuit!r}")
-    algebra = payload.get("algebra")
-    if algebra is not None and algebra not in ALGEBRAS:
-        _fail(f"algebra must be one of {ALGEBRAS}, got {algebra!r}")
-    config = payload.get("config")
-    if config is not None and config not in ("I", "II"):
-        _fail(f"config must be 'I' or 'II', got {config!r}")
-    delay = payload.get("delay")
-    if delay is not None:
-        if not isinstance(delay, dict):
-            _fail(f"delay must be an object, got {type(delay).__name__}")
-        if delay.get("kind") not in DELAY_KINDS:
-            _fail(f"delay.kind must be one of {DELAY_KINDS}, "
-                  f"got {delay.get('kind')!r}")
-    direction = payload.get("direction")
-    if direction is not None and direction not in ("rise", "fall"):
-        _fail(f"direction must be 'rise' or 'fall', got {direction!r}")
-    for key in ("mu", "sigma"):
-        value = payload.get(key)
-        if value is not None and (not isinstance(value, (int, float))
-                                  or isinstance(value, bool)):
-            _fail(f"{key} must be a number, got {value!r}")
-    if payload.get("sigma") is not None and payload["sigma"] < 0:
-        _fail(f"sigma must be >= 0, got {payload['sigma']!r}")
-
-
 def validate_request(payload: object) -> Dict[str, Any]:
     """Check one request envelope against :data:`REQUEST_SCHEMA`.
 
@@ -185,13 +137,10 @@ def validate_request(payload: object) -> Dict[str, Any]:
         raise RequestError(
             f"request must be a JSON object, got "
             f"{type(payload).__name__}")
-    if jsonschema is not None:              # pragma: no cover - optional
-        try:
-            _REQUEST_VALIDATOR.validate(payload)
-        except jsonschema.ValidationError as exc:
-            raise RequestError(f"schema violation: {exc.message}") from exc
-        return payload
-    _validate_fallback(payload)
+    try:
+        _REQUEST_VALIDATOR.validate(payload)
+    except SchemaError as exc:
+        raise RequestError(f"schema violation: {exc.message}") from exc
     return payload
 
 
@@ -209,14 +158,10 @@ def config_stats(label: str) -> InputStats:
 
 def parse_grid(spec: str) -> TimeGrid:
     """``START:STOP:N`` -> :class:`TimeGrid` (the CLI's --grid syntax)."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise RequestError(
-            f"grid must be START:STOP:N (e.g. -8:60:2048), got {spec!r}")
     try:
-        return TimeGrid(float(parts[0]), float(parts[1]), int(parts[2]))
+        return parse_grid_spec(spec)
     except ValueError as exc:
-        raise RequestError(f"bad grid {spec!r}: {exc}") from exc
+        raise RequestError(str(exc)) from exc
 
 
 def parse_algebra(name: str, grid: Optional[str]) -> AlgebraSpec:

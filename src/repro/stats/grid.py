@@ -130,6 +130,18 @@ class TimeGrid:
         return f"TimeGrid({self.start}, {self.stop}, n={self.n})"
 
 
+def parse_grid_spec(spec: str) -> TimeGrid:
+    """``START:STOP:N`` -> :class:`TimeGrid`; ``ValueError`` if malformed."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(
+            f"grid must be START:STOP:N (e.g. -8:60:2048), got {spec!r}")
+    try:
+        return TimeGrid(float(parts[0]), float(parts[1]), int(parts[2]))
+    except ValueError as exc:
+        raise ValueError(f"bad grid {spec!r}: {exc}") from exc
+
+
 class GaussianKernel:
     """A discretized Gaussian delay kernel on a grid, with cached FFT.
 

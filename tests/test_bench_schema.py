@@ -2,9 +2,11 @@
 
 Covers ``BENCH_scenario_sweep.json``, ``BENCH_hier_scale.json``,
 ``BENCH_opt_loop.json`` and ``BENCH_bounds_pruning.json``.
-Both validation paths are exercised — the `jsonschema`-backed one and
-the dependency-free structural fallback — against the same payloads, so
-the two cannot drift apart.  The committed artifacts themselves are
+Every case runs the package's one validator (:mod:`repro.schema`) in
+two environments: with the optional ``jsonschema`` package importable
+and with it hidden (``fallback``), and the decisions must agree.  When
+``jsonschema`` is installed, every mutation's decision is also checked
+against ``jsonschema.validate``.  The committed artifacts themselves are
 validated too: a format change that forgets to regenerate them fails
 here.
 """
@@ -14,14 +16,18 @@ from __future__ import annotations
 import copy
 import json
 from pathlib import Path
+import sys
 
 import pytest
 
-from repro.experiments import bench_schema
 from repro.experiments.bench_schema import (
+    BOUNDS_PRUNING_SCHEMA,
     BOUNDS_PRUNING_VERSION,
+    HIER_SCALE_SCHEMA,
     HIER_SCALE_VERSION,
+    OPT_LOOP_SCHEMA,
     OPT_LOOP_VERSION,
+    SCENARIO_SWEEP_SCHEMA,
     SCENARIO_SWEEP_VERSION,
     hier_speedups,
     opt_speedups,
@@ -32,6 +38,7 @@ from repro.experiments.bench_schema import (
     validate_opt_loop,
     validate_scenario_sweep,
 )
+from repro.schema import CompiledSchema, SchemaError
 
 RESULTS = (Path(__file__).resolve().parent.parent
            / "benchmarks" / "results")
@@ -39,6 +46,19 @@ ARTIFACT = RESULTS / "BENCH_scenario_sweep.json"
 HIER_ARTIFACT = RESULTS / "BENCH_hier_scale.json"
 OPT_ARTIFACT = RESULTS / "BENCH_opt_loop.json"
 BOUNDS_ARTIFACT = RESULTS / "BENCH_bounds_pruning.json"
+
+#: ``jsonschema`` importable, or hidden from import (``fallback``).
+ENVIRONMENTS = ["jsonschema", "fallback"]
+
+
+def _in_environment(request, monkeypatch, validate):
+    """Return ``validate`` after setting up the ``request.param``
+    environment; the one validator must decide alike in both."""
+    if request.param == "jsonschema":
+        pytest.importorskip("jsonschema")
+    else:
+        monkeypatch.setitem(sys.modules, "jsonschema", None)
+    return validate
 
 
 def _valid_payload() -> dict:
@@ -91,18 +111,17 @@ def _mutations():
         ("string looped seconds", in_point("looped_seconds", "fast")),
         ("grid missing n",
          in_point("grid", {"start": -8.0, "stop": 45.0})),
+        ("boolean version", set_("version", True)),
+        ("headline grid below 8 bins",
+         set_("headline", {"grid_n": 4, "speedup": 13.0})),
+        ("repeats zero", set_("repeats", 0)),
     ]
 
 
-@pytest.fixture(params=["jsonschema", "fallback"])
+@pytest.fixture(params=ENVIRONMENTS)
 def validator(request, monkeypatch):
-    """Run each test against both validation backends."""
-    if request.param == "jsonschema":
-        if bench_schema.jsonschema is None:
-            pytest.skip("jsonschema not installed")
-    else:
-        monkeypatch.setattr(bench_schema, "jsonschema", None)
-    return validate_scenario_sweep
+    """Run each test with and without ``jsonschema`` importable."""
+    return _in_environment(request, monkeypatch, validate_scenario_sweep)
 
 
 class TestValidation:
@@ -226,18 +245,16 @@ def _hier_mutations():
          drop_in_point(1, "flat_infeasible_reason")),
         ("measured flat with null speedup",
          in_point(0, "speedup", None)),
+        ("negative dedup hits", in_point(0, "dedup_hits", -1)),
+        ("empty infeasible reason",
+         in_point(0, "flat_infeasible_reason", "")),
     ]
 
 
-@pytest.fixture(params=["jsonschema", "fallback"])
+@pytest.fixture(params=ENVIRONMENTS)
 def hier_validator(request, monkeypatch):
-    """Run each hier-scale test against both validation backends."""
-    if request.param == "jsonschema":
-        if bench_schema.jsonschema is None:
-            pytest.skip("jsonschema not installed")
-    else:
-        monkeypatch.setattr(bench_schema, "jsonschema", None)
-    return validate_hier_scale
+    """Run each hier-scale test with and without ``jsonschema``."""
+    return _in_environment(request, monkeypatch, validate_hier_scale)
 
 
 class TestHierScaleValidation:
@@ -352,15 +369,10 @@ def _opt_mutations():
     ]
 
 
-@pytest.fixture(params=["jsonschema", "fallback"])
+@pytest.fixture(params=ENVIRONMENTS)
 def opt_validator(request, monkeypatch):
-    """Run each opt-loop test against both validation backends."""
-    if request.param == "jsonschema":
-        if bench_schema.jsonschema is None:
-            pytest.skip("jsonschema not installed")
-    else:
-        monkeypatch.setattr(bench_schema, "jsonschema", None)
-    return validate_opt_loop
+    """Run each opt-loop test with and without ``jsonschema`` importable."""
+    return _in_environment(request, monkeypatch, validate_opt_loop)
 
 
 class TestOptLoopValidation:
@@ -484,15 +496,10 @@ def _bounds_mutations():
     ]
 
 
-@pytest.fixture(params=["jsonschema", "fallback"])
+@pytest.fixture(params=ENVIRONMENTS)
 def bounds_validator(request, monkeypatch):
-    """Run each bounds-pruning test against both validation backends."""
-    if request.param == "jsonschema":
-        if bench_schema.jsonschema is None:
-            pytest.skip("jsonschema not installed")
-    else:
-        monkeypatch.setattr(bench_schema, "jsonschema", None)
-    return validate_bounds_pruning
+    """Run each bounds-pruning test with and without ``jsonschema``."""
+    return _in_environment(request, monkeypatch, validate_bounds_pruning)
 
 
 class TestBoundsPruningValidation:
@@ -539,3 +546,45 @@ class TestBoundsHelpers:
         fractions = pruned_fractions(payload)
         assert fractions["s1196"] == pytest.approx(3 / 529)
         assert fractions["s9234"] == pytest.approx(6 / 5597)
+
+
+_NULL_CONSISTENCY = {"null flat with measured speedup",
+                     "null flat without reason",
+                     "measured flat with null speedup"}
+
+
+def _schema_cases():
+    """(schema, valid payload, mutations) for every artifact format.
+
+    The hier null-consistency mutations are dropped: they pass the
+    schema and are refused by :func:`validate_hier_scale` alone.
+    """
+    hier = [m for m in _hier_mutations() if m[0] not in _NULL_CONSISTENCY]
+    return [
+        (SCENARIO_SWEEP_SCHEMA, _valid_payload(), _mutations()),
+        (HIER_SCALE_SCHEMA, _valid_hier_payload(), hier),
+        (OPT_LOOP_SCHEMA, _valid_opt_payload(), _opt_mutations()),
+        (BOUNDS_PRUNING_SCHEMA, _valid_bounds_payload(),
+         _bounds_mutations()),
+    ]
+
+
+def test_decisions_match_jsonschema_validate():
+    jsonschema = pytest.importorskip("jsonschema")
+    for schema, valid, mutations in _schema_cases():
+        compiled = CompiledSchema(schema)
+        for label, mutate in [("valid", lambda p: None)] + mutations:
+            payload = copy.deepcopy(valid)
+            mutate(payload)
+            try:
+                jsonschema.validate(payload, schema)
+                expected = "accept"
+            except jsonschema.ValidationError:
+                expected = "reject"
+            try:
+                compiled.validate(payload)
+                got = "accept"
+            except SchemaError:
+                got = "reject"
+            assert got == expected == (
+                "accept" if label == "valid" else "reject"), label

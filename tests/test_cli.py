@@ -101,6 +101,10 @@ class TestHierCommand:
                      if "SPSTA" in line or "signal probability" in line]
         assert hier_rows == flat_rows
 
+    def test_bad_grid_spec_exits(self):
+        with pytest.raises(SystemExit, match="^--grid: grid must be"):
+            main(["hier", "s27", "--algebra", "grid", "--grid", "1:2"])
+
     def test_analyze_partition_rejects_naive_engine(self):
         with pytest.raises(SystemExit, match="fast engine"):
             main(["analyze", "s27", "--partition", "2",

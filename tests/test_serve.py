@@ -65,6 +65,37 @@ def _payload_text(response):
     return json.dumps(response["result"], sort_keys=True)
 
 
+def _count_schemas(schema):
+    """Number of (sub)schemas in a schema built from the supported
+    keywords."""
+    subs = list(schema.get("properties", {}).values())
+    subs += [schema[key] for key in ("items", "additionalProperties")
+             if key in schema]
+    return 1 + sum(_count_schemas(sub) for sub in subs)
+
+
+#: (id, request, schema message) for requests refused for a field's
+#: type, pattern, length or bound, whether or not ``jsonschema`` is
+#: installed.
+SCHEMA_ONLY_REFUSALS = [
+    ("clear-string", {"v": 1, "op": "edit", "clear": "yes"},
+     "'yes' is not of type 'boolean'"),
+    ("id-bool", {"v": 1, "op": "status", "id": True},
+     "True is not of type 'string', 'number', 'null'"),
+    ("grid-two-fields", {"v": 1, "op": "analyze", "grid": "1:2"},
+     r"'1:2' does not match '^[^:]+:[^:]+:\\d+$'"),
+    ("net-empty", {"v": 1, "op": "query", "net": ""},
+     "'' should be non-empty"),
+    ("delay-sigma-negative",
+     {"v": 1, "op": "analyze", "delay": {"kind": "normal", "sigma": -1}},
+     "-1 is less than the minimum of 0"),
+    ("frozen-delay-string",
+     {"v": 1, "op": "analyze",
+      "delay": {"kind": "frozen", "delays": {"G14": "1.5"}}},
+     "'1.5' is not of type 'number'"),
+]
+
+
 @pytest.fixture()
 def server():
     return Server(ServeOptions(cache_entries=32))
@@ -107,11 +138,10 @@ class TestProtocol:
         {"v": 1, "op": "edit", "gate": "G14", "mu": "fast"},
         {"v": 1, "op": "edit", "gate": "G14", "sigma": -0.5},
         {"v": 1, "op": "analyze", "circuit": ""},
-        {"v": 1, "op": "analyze", "grid": "1:2"},
         {"v": 1, "op": "analyze", "delay": {"value": 1.0}},
         {"v": 1, "op": "analyze", "delay": {"kind": "quantum"}},
         {"v": 1, "op": "status", "id": [1]},
-        {"v": 1, "op": "edit", "clear": "yes"},
+        *[payload for _, payload, _ in SCHEMA_ONLY_REFUSALS],
     ])
     def test_messages_match_jsonschema_validate(self, payload):
         jsonschema = pytest.importorskip("jsonschema")
@@ -125,26 +155,40 @@ class TestProtocol:
             f"schema violation: {expected.value.message}"
         assert got.value.code == "bad-request"
 
+    @pytest.mark.parametrize(
+        "payload,message", [case[1:] for case in SCHEMA_ONLY_REFUSALS],
+        ids=[case[0] for case in SCHEMA_ONLY_REFUSALS])
+    def test_schema_violations_are_refused(self, payload, message):
+        """Every schema violation is refused before dispatch (an edit
+        with ``"clear": "yes"`` must not clear the gate's delay)."""
+        response = Server(ServeOptions()).handle(payload)
+        assert response["ok"] is False
+        assert response["error"] == {
+            "code": "bad-request", "message": f"schema violation: {message}"}
+
     def test_schema_is_checked_once(self, monkeypatch):
-        jsonschema = pytest.importorskip("jsonschema")
+        import repro.schema
         from repro.schema import CompiledSchema
         from repro.serve import protocol
 
-        cls = jsonschema.validators.validator_for(protocol.REQUEST_SCHEMA)
-        checks = []
-        original = cls.check_schema
+        compiled = []
+        original = repro.schema._Node.__init__
 
-        def counting(schema, *args, **kwargs):
-            checks.append(schema)
-            return original(schema, *args, **kwargs)
+        def counting(node, schema):
+            compiled.append(schema)
+            original(node, schema)
 
-        monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+        monkeypatch.setattr(repro.schema._Node, "__init__", counting)
         monkeypatch.setattr(protocol, "_REQUEST_VALIDATOR",
                             CompiledSchema(protocol.REQUEST_SCHEMA))
+        nodes = len(compiled)
         for i in range(100):
             validate_request({"v": 1, "id": i, "op": "query",
                               "circuit": "s27", "net": "G17"})
-        assert len(checks) == 1
+        # One walk at construction: one node per (sub)schema, none later.
+        assert nodes == len(compiled) == _count_schemas(
+            protocol.REQUEST_SCHEMA)
+        assert sum(s is protocol.REQUEST_SCHEMA for s in compiled) == 1
 
     def test_delay_specs_round_trip(self):
         from repro.core.delay import NormalDelay, UnitDelay

@@ -9,6 +9,7 @@ from repro.stats.grid import (
     GridDensity,
     TimeGrid,
     grid_weighted_sum,
+    parse_grid_spec,
 )
 from repro.stats.normal import Normal
 
@@ -32,6 +33,15 @@ class TestTimeGrid:
             TimeGrid(1.0, 1.0)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, n=4)
+
+    def test_parse_grid_spec(self):
+        assert parse_grid_spec("-8:60:2048") == TimeGrid(-8.0, 60.0, 2048)
+        with pytest.raises(ValueError, match="START:STOP:N"):
+            parse_grid_spec("1:2")
+        with pytest.raises(ValueError, match="bad grid 'a:b:8'"):
+            parse_grid_spec("a:b:8")
+        with pytest.raises(ValueError, match="at least 8 points"):
+            parse_grid_spec("0:1:4")
 
 
 class TestGridDensity:
