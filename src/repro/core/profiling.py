@@ -7,9 +7,8 @@ quantities that explain where an analytical sweep spends its time:
   grid engine's subset-eval / convolve / mix sub-phases);
 - work counters — gates processed, Eq. 11 subset terms evaluated, parity
   joint-enumeration terms, pairwise MAX/MIN folds;
-- cache effectiveness — hits and misses of the subset-weight-table cache
-  and of the Gaussian delay-kernel cache, plus FFT vs direct convolution
-  batch counts.
+- cache effectiveness — hits and misses of the Gaussian delay-kernel
+  cache, plus FFT vs direct convolution batch counts.
 
 Counters are plain integer increments (negligible overhead); phase timers
 are a handful of ``perf_counter`` pairs per run.  The profile is attached to
@@ -41,6 +40,8 @@ class SpstaProfile:
     parity_terms: int = 0        # parity joint-enumeration terms kept
     max_folds: int = 0           # pairwise MAX/MIN combinations performed
 
+    # Retired with the Eq. 11 weight-table cache (weights are now built
+    # per level group); always 0, kept for readers of the field names.
     weight_table_hits: int = 0
     weight_table_misses: int = 0
     kernel_cache_hits: int = 0
@@ -75,11 +76,6 @@ class SpstaProfile:
         return sum(self.phase_seconds.values())
 
     @property
-    def weight_table_hit_rate(self) -> float:
-        total = self.weight_table_hits + self.weight_table_misses
-        return self.weight_table_hits / total if total else 0.0
-
-    @property
     def kernel_cache_hit_rate(self) -> float:
         total = self.kernel_cache_hits + self.kernel_cache_misses
         return self.kernel_cache_hits / total if total else 0.0
@@ -96,9 +92,6 @@ class SpstaProfile:
             f"levels: {self.levels}  subset terms: {self.subset_terms}  "
             f"parity terms: {self.parity_terms}  "
             f"max/min folds: {self.max_folds}",
-            f"{indent}  weight-table cache: {self.weight_table_hits} hits / "
-            f"{self.weight_table_misses} misses "
-            f"({100.0 * self.weight_table_hit_rate:.1f}% hit rate)",
             f"{indent}  kernel cache: {self.kernel_cache_hits} hits / "
             f"{self.kernel_cache_misses} misses "
             f"({100.0 * self.kernel_cache_hit_rate:.1f}% hit rate)",

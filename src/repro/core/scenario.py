@@ -28,17 +28,21 @@ the compiled program:
 - **stacked per-level prep** — every referenced conditional density of
   every scenario normalizes and integrates in one 2-D pass, with
   per-net ``(scenario, bin)`` blocks;
-- **cross-scenario subset DP** — AND/OR-core directions become
-  :class:`_SubsetTemplate` rows (or, for MIS-aware delay models,
-  ``_ControllingJob`` rows) whose subset-lattice DP batches across gates
-  AND scenarios in the 3-D kernels of :mod:`repro.core.spsta_fast`
-  (packed subset-weight tables are built once per gate direction and
-  shared by every scenario in the group via
-  :class:`~repro.core.spsta_fast.WeightTableCache`);
+- **stacked subset-eval** — a lean per-gate pass queues each AND/OR-core
+  direction's candidates (their rows in the level's prep stack, switch
+  and static probabilities, static factor) on its ``(fanin, MAX/MIN)``
+  group; each group then runs as whole-level arrays for every scenario
+  and delay model alike: one array product builds the Eq. 11 weight
+  tables, a gather copies each operand into the mask-major node tables,
+  the subset-lattice DP folds in place, and BLAS ``matmul`` premixes
+  one row per delay kernel (one per row for constant delays, one per
+  distinct popcount kernel for MIS-aware models) with the kernels of
+  :mod:`repro.core.spsta_fast`;
 - **parity prefix enumeration** — XOR/XNOR joint enumeration collapses
   the 4^k four-value assignments to the 3^k (static / rise / fall)
   patterns, tracking the static-ones parity as an (even, odd) weight
-  pair and sharing MAX-fold prefixes;
+  pair and sharing MAX-fold prefixes; each direction's terms premix as
+  one stack;
 - **batched convolve + mix** — all rows of a level, across all
   scenarios, go through one kernel-grouped FFT batch and one run-length
   segment mix.
@@ -107,15 +111,13 @@ from repro.core.spsta import (
 )
 from repro.core.spsta_fast import (
     MAX_DP_ROWS,
-    WeightTableCache,
-    _ControllingJob,
     _convolve_matrix,
     _GridContext,
     _mix_rows,
-    _run_controlling_jobs,
     _subset_dp,
     _wrap_top,
     subset_lattice,
+    subset_weight_tables,
 )
 from repro.logic.gates import GateSpec, GateType, gate_spec
 from repro.netlist.core import Gate, Netlist
@@ -420,16 +422,13 @@ def _run_grid_scenarios(compiled: CompiledNetlist,
             groups.append((scenario.stats, [idx]))
 
     name = compiled.netlist.name
-    wcache = WeightTableCache()
     results: Dict[int, SpstaResult] = {}
     for stats, idxs in groups:
         models = [scenarios[i].delay_model for i in idxs]
         group_out = _run_grid_group(compiled, stats, models, algebra,
-                                    wcache, profile, keep)
+                                    profile, keep)
         for i, (prob4, tops) in zip(idxs, group_out):
             results[i] = SpstaResult(name, algebra, prob4, tops, profile)
-    profile.weight_table_hits = wcache.hits
-    profile.weight_table_misses = wcache.misses
     return [results[i] for i in range(len(scenarios))]
 
 
@@ -439,23 +438,16 @@ def _run_grid_scenarios(compiled: CompiledNetlist,
 #: when the transition never occurs).
 _Blocks = Dict[Tuple[str, int], Optional[np.ndarray]]
 
-#: Phase A output for one occurring gate direction: per-scenario items,
-#: each a deferred :class:`_ControllingJob` or a resolved
-#: ``(total, expected, [(delay, row), ...])`` terms tuple.
-_DirItems = Optional[List[object]]
-
-
 def _run_grid_group(compiled: CompiledNetlist, stats, models,
-                    algebra: GridAlgebra, wcache: WeightTableCache,
-                    profile: SpstaProfile, keep: str = "all",
+                    algebra: GridAlgebra, profile: SpstaProfile,
+                    keep: str = "all",
                     seed_tops: _Seeds = None) -> _GroupOut:
     """Grid scenarios of one stats group as one stacked sweep."""
     netlist = compiled.netlist
     grid = algebra.grid
     b = len(models)
     ctx = _GridContext(grid=grid, kernel_cache=algebra.kernel_cache,
-                       wcache=wcache, parity_cap=compiled.parity_cap,
-                       profile=profile)
+                       parity_cap=compiled.parity_cap, profile=profile)
     any_mis = any(hasattr(model, "delay_mis") for model in models)
     gate_delays = None if any_mis else _group_gate_delays(models)
     prob4: Dict[str, Prob4] = {}
@@ -530,21 +522,18 @@ def _run_grid_level(compiled: CompiledNetlist, li: int,
     with profile.phase("subset-eval"):
         prep = _prepare_blocks(compiled.level_nets[li], blocks, b,
                                ctx.grid.dt)
-        pending: List[_ControllingJob] = []
-        templates: Optional[List[_SubsetTemplate]] = (
-            None if any_mis else [])
-        gate_dirs: List[Tuple[str, Tuple[object, object]]] = []
+        groups: Dict[Tuple[int, bool], _SubsetGroup] = {}
+        gate_dirs: List[Tuple[str, Tuple[_Dir, _Dir]]] = []
         for record in level:
             gate_dirs.append(
                 (record.gate.name,
-                 _phase_a_gate(record, prob4, weights, prep, models,
-                               b, ctx, pending, templates, gate_delays)))
+                 _phase_a_gate(record, prob4, weights, prep, models, b,
+                               ctx, groups, any_mis, gate_delays)))
+        for (k, use_max), group in groups.items():
+            _run_subset_group(group, k, use_max, prep, b, any_mis, ctx)
         # Each stage's arrays are dropped once the next stage holds what
         # it needs: the largest level's live set is the run's peak memory.
-        del prep
-        if templates:
-            _run_subset_templates(templates, b, ctx)
-        _run_controlling_jobs(pending, ctx)
+        del groups, prep
 
         # Phase B layout: (gate, direction)-major, scenario-minor —
         # each occurring direction owns B consecutive segments.
@@ -555,39 +544,19 @@ def _run_grid_level(compiled: CompiledNetlist, li: int,
         order: List[Tuple[str, int]] = []
         ones_b = [1] * b
         for name, dirs in gate_dirs:
-            for direction, items in enumerate(dirs):
-                if items is None:
+            for direction, item in enumerate(dirs):
+                if item is None or item.block is None:
                     weights[(name, direction)] = 0.0
                     blocks[(name, direction)] = None
                     continue
-                if isinstance(items, _SubsetTemplate):
-                    items = items.items
-                if isinstance(items, _DirBlock):
-                    rows.append(items.block)
-                    delays.extend(items.delays)
-                    counts.extend(ones_b)
-                    expected.extend([items.expected] * b)
-                    weights[(name, direction)] = items.total
-                    order.append((name, direction))
-                    continue
-                total = None
-                for item in items:
-                    if isinstance(item, _ControllingJob):
-                        seg_total = item.total
-                        seg_expected = item.total
-                        dir_rows = list(item.acc.values())
-                    else:
-                        seg_total, seg_expected, dir_rows = item
-                    counts.append(len(dir_rows))
-                    expected.append(seg_expected)
-                    for delay, row in dir_rows:
-                        delays.append(delay)
-                        rows.append(row)
-                    if total is None:
-                        total = seg_total
-                weights[(name, direction)] = total
+                rows.append(item.block)
+                delays.extend(item.delays)
+                counts.extend(ones_b if item.counts is None
+                              else item.counts)
+                expected.extend([item.expected] * b)
+                weights[(name, direction)] = item.total
                 order.append((name, direction))
-        del gate_dirs, pending, templates
+        del gate_dirs
 
     if not rows:
         return
@@ -606,9 +575,28 @@ def _run_grid_level(compiled: CompiledNetlist, li: int,
         seg += b
 
 
+class _Prep(NamedTuple):
+    """A level's normalized operands: the ``pdf``/``cdf`` row stacks of
+    every referenced net direction's ``(scenario, bin)`` block, and the
+    first stack row of each direction's block (``offsets``)."""
+
+    pdf: np.ndarray
+    cdf: np.ndarray
+    offsets: Dict[Tuple[str, int], int]
+    b: int
+
+    def get(self, slot: Tuple[str, int]
+            ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The ``(pdf, cdf)`` blocks of one net direction, or ``None``."""
+        start = self.offsets.get(slot)
+        if start is None:
+            return None
+        return (self.pdf[start:start + self.b],
+                self.cdf[start:start + self.b])
+
+
 def _prepare_blocks(nets: Sequence[str], blocks: _Blocks, b: int,
-                    dt: float) -> Dict[Tuple[str, int],
-                                       Tuple[np.ndarray, np.ndarray]]:
+                    dt: float) -> _Prep:
     """Normalize every referenced block of a level in one stacked pass.
 
     All ``(scenario, bin)`` rows of all referenced net directions vstack
@@ -616,39 +604,37 @@ def _prepare_blocks(nets: Sequence[str], blocks: _Blocks, b: int,
     pays once per level regardless of fanout (the naive path
     re-normalizes and re-integrates operands inside every pairwise MAX).
     """
-    slots: List[Tuple[str, int]] = []
+    offsets: Dict[Tuple[str, int], int] = {}
     stacks: List[np.ndarray] = []
     for net in nets:
         for d in (0, 1):
             block = blocks[(net, d)]
             if block is not None:
-                slots.append((net, d))
+                offsets[(net, d)] = len(stacks) * b
                 stacks.append(block)
-    prep: Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]] = {}
     if not stacks:
-        return prep
+        empty = np.empty((0, 0))
+        return _Prep(empty, empty, offsets, b)
     stack = np.vstack(stacks)
     ints = trapezoid_rows(stack, dt)
     if np.any(ints <= 0.0):
         raise ValueError("cannot normalize an empty density")
     stack /= ints[:, None]
-    cdfs = cdf_rows(stack, dt)
-    for i, slot in enumerate(slots):
-        prep[slot] = (stack[i * b:(i + 1) * b], cdfs[i * b:(i + 1) * b])
-    return prep
+    return _Prep(stack, cdf_rows(stack, dt), offsets, b)
 
 
 def _phase_a_gate(record: GateRecord, prob4: Mapping[str, Prob4],
-                  weights: Mapping[Tuple[str, int], float], prep, models,
-                  b: int, ctx: _GridContext,
-                  pending: List[_ControllingJob],
-                  templates: Optional[List["_SubsetTemplate"]] = None,
-                  gate_delays=None) -> Tuple[_DirItems, _DirItems]:
+                  weights: Mapping[Tuple[str, int], float], prep: _Prep,
+                  models, b: int, ctx: _GridContext,
+                  groups: Dict[Tuple[int, bool], "_SubsetGroup"],
+                  mis: bool, gate_delays=None) -> Tuple[_Dir, _Dir]:
     """Kernel dispatch for one gate across every scenario of the group.
 
     Occurrence (whether a direction has items) depends only on the
     group's statistics, so it is uniform across scenarios; the items
-    themselves carry per-scenario rows and delays.
+    themselves carry per-scenario rows and delays.  AND/OR-core
+    directions are only queued here; :func:`_run_subset_group` fills
+    them in.
     """
     gate = record.gate
     if gate_delays is not None:
@@ -667,9 +653,8 @@ def _phase_a_gate(record: GateRecord, prob4: Mapping[str, Prob4],
         entry_blocks = [_parity_entry(src, weights, prep)
                         for src in gate.inputs]
         return _batched_parity(record, in_probs, entry_blocks, delay_fors,
-                               b, ctx, mis=templates is None)
-    dirs = _subset_items(record, prob4, weights, prep, delay_fors, b, ctx,
-                         pending, templates)
+                               b, ctx, mis)
+    dirs = _collect_subset(record, prob4, weights, prep, delay_fors, groups)
     if record.inverting:
         dirs = (dirs[1], dirs[0])
     return dirs
@@ -729,33 +714,43 @@ def _group_gate_delays(models):
 
 
 class _DirBlock:
-    """One gate direction whose scenarios each carry a single kernel row.
+    """One gate direction's premixed rows across every scenario.
 
-    The common case (constant-delay kernels): a whole ``(scenario, bin)``
-    block plus one delay kernel per scenario, consumed by phase B as
-    ``b`` consecutive single-row segments without per-scenario item
-    tuples.  ``expected`` is the per-segment post-convolution mass.
+    ``block`` stacks the rows scenario by scenario, ``delays`` gives each
+    row's kernel, and ``counts`` how many rows each scenario owns (``None``
+    for one each -- every constant-delay direction).  Phase B consumes
+    them as ``b`` consecutive segments.  ``expected`` is the
+    per-segment post-convolution mass.  An AND/OR-core direction is
+    queued with ``block`` unset; it stays absent if no Eq. 11 weight is
+    positive.
     """
 
-    __slots__ = ("total", "expected", "delays", "block")
+    __slots__ = ("total", "expected", "delays", "block", "counts")
 
     def __init__(self, total: float, expected: float,
-                 delays: Sequence[Normal], block: np.ndarray) -> None:
+                 delays: Optional[Sequence[Normal]],
+                 block: Optional[np.ndarray],
+                 counts: Optional[List[int]] = None) -> None:
         self.total = total
         self.expected = expected
         self.delays = delays
         self.block = block
+        self.counts = counts
 
 
-def _copy_items(gate: Gate, weights, prep, delay_fors,
-                b: int) -> Tuple[_DirItems, _DirItems]:
+#: Phase A output for one gate direction (``None``: never occurs).
+_Dir = Optional[_DirBlock]
+
+
+def _copy_items(gate: Gate, weights, prep: _Prep, delay_fors,
+                b: int) -> Tuple[_Dir, _Dir]:
     """BUFF/NOT: one normalized row per scenario per occurring direction.
 
     A single term per direction: the final per-segment normalization is
     scale-invariant, so no retention correction is needed and the row
     stays a normalized pdf (expected post-convolution mass 1.0)."""
     src = gate.inputs[0]
-    dirs: List[_DirItems] = []
+    dirs: List[_Dir] = []
     for d in (0, 1):
         weight = weights[(src, d)]
         entry = prep.get((src, d))
@@ -768,10 +763,92 @@ def _copy_items(gate: Gate, weights, prep, delay_fors,
     return dirs[0], dirs[1]
 
 
+def _kernel_id(delay: Normal, kernels: List[Normal],
+               index: Dict[Tuple[float, float], int]) -> int:
+    """Number ``delay`` among a premix's distinct kernels."""
+    key = (delay.mu, delay.sigma)
+    i = index.get(key)
+    if i is None:
+        i = index[key] = len(kernels)
+        kernels.append(delay)
+    return i
+
+
+def _kernel_slots(kid: np.ndarray
+                  ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Number each row's distinct kernels in first-use order.
+
+    ``kid[r, c]`` is the kernel id of class ``c`` (a popcount, or a
+    parity term) in row ``r``.  Returns ``(slots, slot_kid)``:
+    ``slots[r, c]`` is the slot of ``kid[r, c]`` among row ``r``'s
+    distinct kernels and ``slot_kid[r, j]`` the kernel of slot ``j`` (-1
+    past the row's last); ``slots`` is ``None`` when no row has more
+    than one kernel.
+    """
+    first = (kid[:, :, None] == kid[:, None, :]).argmax(axis=2)
+    new = first == np.arange(kid.shape[1])
+    rank = np.cumsum(new, axis=1) - 1
+    slot_kid = np.full((kid.shape[0], int(rank[:, -1].max()) + 1), -1)
+    r, c = np.nonzero(new)
+    slot_kid[r, rank[r, c]] = kid[r, c]
+    if slot_kid.shape[1] == 1:
+        return None, slot_kid
+    return np.take_along_axis(rank, first, axis=1), slot_kid
+
+
+def _premix_terms(nodes: np.ndarray, w: np.ndarray,
+                  slots: Optional[np.ndarray], slot_kid: np.ndarray,
+                  kernels: Sequence[Normal], ctx: _GridContext,
+                  operation: str
+                  ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Retention-corrected premix of a stack of weighted terms.
+
+    ``nodes[t, r]`` is a normalized term density with weight ``w[r, t]``
+    and delay kernel ``kernels[slot_kid[r, slots[r, t]]]`` (slot 0 when
+    ``slots`` is ``None``).  Each term is divided by the mass its
+    kernel's convolution retains on the grid, so one convolution of the
+    premixed row equals convolving and renormalizing every term; the
+    off-grid loss of a term is ``w * (1 - retained)``.  Convolution is
+    linear, so the terms sharing a kernel premix into one row with BLAS
+    ``matmul``.  Returns the rows (row-major, slot-minor, only slots
+    with a positive weight), each row's kernel id, and the rows per
+    input row (``None``: one each).
+    """
+    n = nodes.shape[2]
+    table = np.stack([ctx.retention(d) for d in kernels]
+                     + [np.zeros(n)])               # row -1: unused slot
+    by_row = nodes.transpose(1, 0, 2)       # (rows, terms, n) BLAS view
+    if len(kernels) == 1:      # one retention vector for every term: a gemv
+        retained = (nodes.reshape(-1, n) @ table[0]).reshape(
+            nodes.shape[:2]).T
+    else:
+        retained = np.zeros(w.shape)
+        for j in range(slot_kid.shape[1]):
+            part = np.matmul(by_row, table[slot_kid[:, j], :, None])
+            np.copyto(retained, part[..., 0],
+                      where=True if slots is None else slots == j)
+    positive = w > 0.0
+    if np.any(positive & (retained <= 0.0)):
+        raise ValueError("cannot normalize an empty density")
+    ctx.record_mass((w * (1.0 - retained))[positive], w[positive],
+                    operation)
+    coef = np.where(positive,
+                    w / np.where(retained > 0.0, retained, 1.0), 0.0)
+    if slots is None:
+        return np.matmul(coef[:, None, :], by_row)[:, 0], slot_kid[:, 0], None
+    parts = []
+    used = np.empty(slot_kid.shape, dtype=bool)
+    for j in range(slot_kid.shape[1]):
+        in_slot = slots == j
+        parts.append(np.matmul(np.where(in_slot, coef, 0.0)[:, None, :],
+                               by_row)[:, 0])
+        used[:, j] = (in_slot & positive).any(axis=1)
+    return np.stack(parts, axis=1)[used], slot_kid[used], used.sum(axis=1)
+
+
 def _batched_parity(record: GateRecord, in_probs: Sequence[Prob4],
                     entry_blocks: Sequence[tuple], delay_fors, b: int,
-                    ctx: _GridContext, mis: bool = True
-                    ) -> Tuple[_DirItems, _DirItems]:
+                    ctx: _GridContext, mis: bool) -> Tuple[_Dir, _Dir]:
     """Cross-scenario parity (XOR/XNOR) enumeration via 3^k prefixes.
 
     Equivalent to the naive 4^k four-value enumeration: non-switching
@@ -845,63 +922,38 @@ def _batched_parity(record: GateRecord, in_probs: Sequence[Prob4],
                     fold(state, fall_cond), n_switch + 1)
 
     recurse(0, 1.0, 0.0, None, 0)
+    # ``recurse`` refers to itself through its closure; clearing the
+    # cell breaks that cycle, so the level's operand stacks its options
+    # hold are freed on return, not at the next cyclic collection.
+    del recurse
     ctx.profile.parity_terms += (len(rise_terms) + len(fall_terms)) * b
 
-    kernel_memo: Dict[int, Tuple[List[Normal], np.ndarray]] = {}
-
-    def kernels_for(pop: int) -> Tuple[List[Normal], np.ndarray]:
-        # Constant-delay models ignore the popcount, so all terms of a
-        # non-MIS group share one kernel stack per gate.
-        key = pop if mis else 1
-        hit = kernel_memo.get(key)
-        if hit is None:
-            delays = [delay_fors[s](pop) for s in range(b)]
-            hit = (delays, np.stack([ctx.retention(d) for d in delays]))
-            kernel_memo[key] = hit
-        return hit
-
-    def collapse(terms: List[Tuple[float, int, np.ndarray]]) -> _DirItems:
+    def collapse(terms: List[Tuple[float, int, np.ndarray]]) -> _Dir:
+        # One stacked premix of every term of every scenario.
         if not terms:
             return None
         total = 0.0
-        if not mis:
-            # Single kernel per scenario: accumulate one premixed block.
-            delays, rstack = kernels_for(1)
-            acc_block: Optional[np.ndarray] = None
-            for w, pop, block in terms:
-                total += w
-                retained = np.einsum("sn,sn->s", block, rstack)
-                if np.any(retained <= 0.0):
-                    raise ValueError("cannot normalize an empty density")
-                ctx.record_mass(w * (1.0 - retained), np.full(b, w),
-                                "parity convolution")
-                contrib = (w / retained)[:, None] * block
-                acc_block = (contrib if acc_block is None
-                             else acc_block + contrib)
-            return _DirBlock(total, total, delays, acc_block)
-        accs: List[Dict[Tuple[float, float],
-                        Tuple[Normal, np.ndarray]]] = [{} for _ in range(b)]
-        for w, pop, block in terms:
+        for w, _, _ in terms:
             total += w
-            delays, rstack = kernels_for(pop)
-            retained = np.einsum("sn,sn->s", block, rstack)
-            if np.any(retained <= 0.0):
-                raise ValueError("cannot normalize an empty density")
-            ctx.record_mass(w * (1.0 - retained), np.full(b, w),
-                            "parity convolution")
-            contrib = (w / retained)[:, None] * block
-            for s in range(b):
-                delay = delays[s]
-                key = (delay.mu, delay.sigma)
-                prev = accs[s].get(key)
-                accs[s][key] = (delay, contrib[s] if prev is None
-                                else prev[1] + contrib[s])
-        return [(total, total, list(acc.values())) for acc in accs]
+        nodes = np.stack([block for _, _, block in terms])
+        w = np.broadcast_to(np.array([term[0] for term in terms]),
+                            (b, len(terms)))
+        kernels: List[Normal] = []
+        index: Dict[Tuple[float, float], int] = {}
+        pops = [pop if mis else 1 for _, pop, _ in terms]
+        by_pop = {pop: [_kernel_id(delay_fors[s](pop), kernels, index)
+                        for s in range(b)] for pop in dict.fromkeys(pops)}
+        slots, slot_kid = _kernel_slots(
+            np.array([by_pop[pop] for pop in pops]).T)
+        rows, kid, counts = _premix_terms(nodes, w, slots, slot_kid, kernels,
+                                          ctx, "parity convolution")
+        return _DirBlock(total, total, [kernels[i] for i in kid], rows,
+                         None if counts is None else counts.tolist())
 
     return collapse(rise_terms), collapse(fall_terms)
 
 
-def _parity_entry(src: str, weights, prep):
+def _parity_entry(src: str, weights, prep: _Prep):
     """Per-direction (weight, pdf block, cdf block) of one parity input."""
     rise = prep.get((src, 0))
     fall = prep.get((src, 1))
@@ -913,155 +965,150 @@ def _parity_entry(src: str, weights, prep):
             fall[1] if fall is not None else None)
 
 
-class _SubsetTemplate:
-    """One AND/OR-core gate direction shared by a whole scenario group.
+#: A level's queued AND/OR-core directions of one ``(fanin, use_max)``,
+#: as parallel lists: each direction's :class:`_DirBlock`; one ``(prep
+#: offset, switch probability, static probability)`` triple per
+#: candidate, flattened; the static factor of the other inputs; every
+#: scenario's delay closure.
+_SubsetGroup = Tuple[List[_DirBlock], List[float], List[float],
+                     List[Sequence]]
 
-    Candidate selection, the static factor and the packed Eq. 11 weight
-    table depend only on the group's statistics; ``pdf_blocks`` /
-    ``cdf_blocks`` carry every scenario's rows, ``delays`` the one delay
-    kernel each scenario applies to every subset (constant-delay models
-    only — MIS models take the per-scenario job path instead).
-    ``items`` is filled by :func:`_run_subset_templates`.
+
+def _collect_subset(record: GateRecord, prob4, weights, prep: _Prep,
+                    delay_fors, groups: Dict[Tuple[int, bool], _SubsetGroup]
+                    ) -> Tuple[_Dir, _Dir]:
+    """AND/OR cores: queue each direction on its ``(fanin, use_max)`` group.
+
+    The candidate rule is the naive ``_subset_terms``': an input whose
+    switching probability and block in the direction are both present;
+    every other input multiplies its static probability into the static
+    factor, in input order.
     """
-
-    __slots__ = ("k", "use_max", "weights", "pdf_blocks", "cdf_blocks",
-                 "delays", "items")
-
-    def __init__(self, k: int, use_max: bool, weights: np.ndarray,
-                 pdf_blocks: List[np.ndarray], cdf_blocks: List[np.ndarray],
-                 delays: List[Normal]) -> None:
-        self.k = k
-        self.use_max = use_max
-        self.weights = weights
-        self.pdf_blocks = pdf_blocks
-        self.cdf_blocks = cdf_blocks
-        self.delays = delays
-        self.items: List[object] = []
-
-
-def _subset_items(record: GateRecord, prob4, weights, prep, delay_fors,
-                  b: int, ctx: _GridContext,
-                  pending: List[_ControllingJob],
-                  templates: Optional[List[_SubsetTemplate]]
-                  ) -> Tuple[_DirItems, _DirItems]:
-    """AND/OR cores: one deferred cross-scenario subset DP per direction.
-
-    With constant-delay models (``templates`` is a list) each direction
-    becomes one :class:`_SubsetTemplate` whose DP and retention premix
-    run fully stacked across scenarios; with MIS-aware models each
-    scenario gets its own :class:`_ControllingJob` (the subset delay
-    varies per popcount) and ``_run_controlling_jobs`` still batches the
-    jobs of all gates and scenarios of the level.
-    """
-    gate = record.gate
-    in_probs = [prob4[src] for src in gate.inputs]
     is_and_core = record.is_and_core
-    dirs: List[object] = []
-    for which, use_max in ((0, is_and_core), (1, not is_and_core)):
-        candidates: List[int] = []
-        static_factor = 1.0
-        for i, p in enumerate(in_probs):
-            switch_p = p.p_rise if which == 0 else p.p_fall
-            slot = (gate.inputs[i], which)
-            if switch_p > 0.0 and weights[slot] > 0.0 and slot in prep:
-                candidates.append(i)
+    offsets = prep.offsets
+    candidates: Tuple[List[float], List[float]] = ([], [])
+    factors = [1.0, 1.0]
+    for src in record.gate.inputs:
+        p = prob4[src]
+        static_p = p.p_one if is_and_core else p.p_zero
+        for which, switch_p in ((0, p.p_rise), (1, p.p_fall)):
+            start = offsets.get((src, which))
+            if (switch_p > 0.0 and start is not None
+                    and weights[(src, which)] > 0.0):
+                candidates[which].extend((start, switch_p, static_p))
             else:
-                static_factor *= p.p_one if is_and_core else p.p_zero
-        if static_factor <= 0.0 or not candidates:
+                factors[which] *= static_p
+    dirs: List[_Dir] = []
+    for which, use_max in ((0, is_and_core), (1, not is_and_core)):
+        if factors[which] <= 0.0 or not candidates[which]:
             dirs.append(None)
             continue
-        switch = tuple((in_probs[i].p_rise if which == 0
-                        else in_probs[i].p_fall) for i in candidates)
-        static = tuple((in_probs[i].p_one if is_and_core
-                        else in_probs[i].p_zero) for i in candidates)
-        weight_vec = static_factor * ctx.wcache.table(switch, static)
-        if not (weight_vec > 0.0).any():
-            dirs.append(None)
-            continue
-        k = len(candidates)
-        pdf_blocks = [prep[(gate.inputs[i], which)][0] for i in candidates]
-        cdf_blocks = [prep[(gate.inputs[i], which)][1] for i in candidates]
-        if templates is not None:
-            template = _SubsetTemplate(
-                k, use_max, weight_vec, pdf_blocks, cdf_blocks,
-                [delay_fors[s](1) for s in range(b)])
-            templates.append(template)
-            dirs.append(template)
-            continue
-        items: List[object] = []
-        for s in range(b):
-            job = _ControllingJob(k, use_max, weight_vec,
-                                  [blk[s] for blk in pdf_blocks],
-                                  [blk[s] for blk in cdf_blocks],
-                                  delay_fors[s])
-            pending.append(job)
-            items.append(job)
-        dirs.append(items)
+        key = (len(candidates[which]) // 3, use_max)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = ([], [], [], [])
+        item = _DirBlock(0.0, 0.0, None, None)
+        group[0].append(item)
+        group[1].extend(candidates[which])
+        group[2].append(factors[which])
+        group[3].append(delay_fors)
+        dirs.append(item)
     return dirs[0], dirs[1]
 
 
-def _run_subset_templates(templates: Sequence[_SubsetTemplate], b: int,
-                          ctx: _GridContext) -> None:
-    """Stacked subset DP + retention premix for a level's templates.
+def _run_subset_group(group: _SubsetGroup, k: int, use_max: bool,
+                      prep: _Prep, b: int, mis: bool,
+                      ctx: _GridContext) -> None:
+    """Eq. 11 for one ``(fanin, use_max)`` group of a level, fully stacked.
 
-    The cross-scenario analogue of ``_run_controlling_jobs``: templates
-    sharing a lattice stack their scenarios' rows into
-    ``(template*scenario, fanin, bins)`` operand arrays one
-    MAX_DP_ROWS-bounded DP chunk at a time, and each row's single delay
-    kernel turns the retention premix into two einsums.  Per-row math
-    matches the job path exactly (``_subset_dp`` rows are independent);
-    totals replicate ``_finish_jobs``' naive mask-order summation.
+    Rows are (direction, scenario) pairs.  The weight tables are one
+    array product (:func:`~repro.core.spsta_fast.subset_weight_tables`)
+    and the totals sum them in mask order, both bit-identical to the
+    naive fold.  Per ``MAX_DP_ROWS``-bounded chunk, ``np.take`` copies
+    the operand rows from the level's prep stacks into the mask-major
+    node tables' singleton blocks, the DP folds in place, and the
+    retention premix leaves one row per delay kernel per row: one row
+    for constant-delay models, one per distinct popcount kernel for
+    MIS-aware ones.
     """
-    dt = ctx.grid.dt
+    items, candidates, factors, delay_fors = group
+    cand = np.array(candidates).reshape(len(items), k, 3)
+    weights = np.array(factors)[:, None] * subset_weight_tables(
+        cand[:, :, 1], cand[:, :, 2])
+    live = np.nonzero((weights > 0.0).any(axis=1))[0]
+    if live.size == 0:
+        return
+    weights = weights[live]
+    dirs = [items[g] for g in live]
+    offsets = cand[live, :, 0].astype(np.int64)
+    delay_fors = [delay_fors[g] for g in live]
+    positive = weights > 0.0
+    totals = np.zeros(len(dirs))
+    for column in np.where(positive, weights, 0.0).T:   # mask order
+        totals += column
+    ctx.profile.subset_terms += int(positive.sum()) * b
+
+    lat = subset_lattice(k)
+    # Kernel ids per (row, popcount); gates sharing one list of delay
+    # closures (every gate of a homogeneous constant-delay model) share
+    # their ids.
+    pops = range(1, k + 1) if mis else (1,)
+    kernels: List[Normal] = []
+    index: Dict[Tuple[float, float], int] = {}
+    memo: Dict[int, List[List[int]]] = {}
+    for fors in delay_fors:
+        if id(fors) not in memo:
+            memo[id(fors)] = [[_kernel_id(fors[s](c), kernels, index)
+                               for c in pops] for s in range(b)]
+    slots, slot_kid = _kernel_slots(np.array(
+        [memo[id(fors)] for fors in delay_fors]).reshape(-1, len(pops)))
+    if slots is not None:
+        slots = slots[:, lat.pop - 1]
+    # Rows are (direction, scenario) pairs, direction-major.
+    idx = (offsets[:, None, :] + np.arange(b)[None, :, None]).reshape(-1, k)
+    row_w = np.repeat(weights, b, axis=0)
     n = ctx.grid.n
-    groups: Dict[Tuple[int, bool], List[_SubsetTemplate]] = {}
-    for template in templates:
-        groups.setdefault((template.k, template.use_max), []).append(template)
-    for (k, use_max), group in groups.items():
-        lat = subset_lattice(k)
-        masks = (1 << k) - 1
-        rows_total = len(group) * b
-        pre = np.empty((rows_total, n))
-        # Chunk by element count, not row count: MAX_DP_ROWS bounds the
-        # (rows, masks) node table for n=2048 grids, and coarser grids
-        # afford proportionally more rows per DP call.
-        chunk = max(1, (MAX_DP_ROWS * 2048) // (masks * n))
-        for lo in range(0, rows_total, chunk):
-            hi = min(lo + chunk, rows_total)
-            pdfs = np.empty((hi - lo, k, n))
-            cdfs = np.empty((hi - lo, k, n))
-            w = np.empty((hi - lo, masks))
-            rstack = np.empty((hi - lo, n))
-            # Copy the [lo, hi) slice of the template-major row order.
-            for ti in range(lo // b, (hi - 1) // b + 1):
-                t = group[ti]
-                s_lo = max(lo - ti * b, 0)
-                s_hi = min(hi - ti * b, b)
-                dst = slice(ti * b + s_lo - lo, ti * b + s_hi - lo)
-                for i in range(k):
-                    pdfs[dst, i] = t.pdf_blocks[i][s_lo:s_hi]
-                    cdfs[dst, i] = t.cdf_blocks[i][s_lo:s_hi]
-                w[dst] = t.weights
-                for r, delay in enumerate(t.delays[s_lo:s_hi], dst.start):
-                    rstack[r] = ctx.retention(delay)
-            node_pdf, _ = _subset_dp(pdfs, cdfs, lat, use_max, dt,
-                                     ctx.profile)
-            del pdfs, cdfs
-            retained = np.einsum("rmn,rn->rm", node_pdf, rstack)
-            positive = w > 0.0
-            if np.any(positive & (retained <= 0.0)):
-                raise ValueError("cannot normalize an empty density")
-            ctx.record_mass((w * (1.0 - retained))[positive], w[positive],
-                            "subset convolution")
-            coef = np.where(positive, w
-                            / np.where(retained > 0.0, retained, 1.0), 0.0)
-            pre[lo:hi] = np.einsum("rm,rmn->rn", coef, node_pdf)
-            del node_pdf
-        for ti, template in enumerate(group):
-            positive = template.weights[template.weights > 0.0].tolist()
-            total = 0.0
-            for weight in positive:     # mask order, like _finish_jobs
-                total += weight
-            template.items = _DirBlock(total, total, template.delays,
-                                       pre[ti * b:(ti + 1) * b])
-            ctx.profile.subset_terms += len(positive) * b
+    masks = (1 << k) - 1
+    # Chunk by element count: MAX_DP_ROWS bounds the (masks, rows) node
+    # table for n=2048 grids, and coarser grids afford more rows.
+    chunk = max(1, (MAX_DP_ROWS * 2048) // (masks * n))
+    pieces = []
+    for lo in range(0, len(idx), chunk):
+        hi = min(lo + chunk, len(idx))
+        node_pdf = np.empty((masks, hi - lo, n))
+        node_cdf = np.empty((1 << (k - 1), hi - lo, n))
+        for i in range(k):
+            # Offsets always index the prep stacks, so "clip" only skips
+            # the buffered copy that the default bounds check makes.
+            single = (1 << i) - 1
+            np.take(prep.pdf, idx[lo:hi, i], axis=0, out=node_pdf[single],
+                    mode="clip")
+            np.take(prep.cdf, idx[lo:hi, i], axis=0, out=node_cdf[single],
+                    mode="clip")
+        _subset_dp(node_pdf, node_cdf, lat, use_max, ctx.grid.dt,
+                   ctx.profile)
+        del node_cdf
+        pieces.append(_premix_terms(
+            node_pdf, row_w[lo:hi], None if slots is None else slots[lo:hi],
+            slot_kid[lo:hi], kernels, ctx, "subset convolution"))
+        del node_pdf
+    if len(pieces) == 1:
+        rows, kid, counts = pieces[0]
+    else:
+        rows = np.concatenate([piece[0] for piece in pieces])
+        kid = np.concatenate([piece[1] for piece in pieces])
+        counts = (None if slots is None
+                  else np.concatenate([piece[2] for piece in pieces]))
+    delays = [kernels[i] for i in kid]
+    if counts is None:
+        starts = range(len(idx) + 1)
+    else:
+        counts = counts.tolist()
+        starts = [0, *np.cumsum(counts).tolist()]
+    for g, (item, total) in enumerate(zip(dirs, totals.tolist())):
+        lo, hi = starts[g * b], starts[(g + 1) * b]
+        item.total = item.expected = total
+        item.delays = delays[lo:hi]
+        item.block = rows[lo:hi]
+        if counts is not None:
+            item.counts = counts[g * b:(g + 1) * b]

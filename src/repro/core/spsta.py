@@ -529,7 +529,7 @@ def _subset_terms(in_probs: Sequence[Prob4], in_tops: Sequence[NetTops[D]],
 
     The per-mask weight is computed as ``static_factor * w`` with ``w``
     folded over the candidates in index order — the exact multiplication
-    order the fast engine's cached weight tables use, so the two paths stay
+    order of the fast engine's stacked weight tables, so the two paths stay
     bit-identical.
     """
     candidates: List[int] = []

@@ -11,21 +11,19 @@ the netlist once (:func:`~repro.core.scenario.compile_netlist`) and runs
 it through the compiled level walker of :mod:`repro.core.scenario` as a
 batch of one scenario; this module holds the kernels that walker drives:
 
-- **Subset-weight-table caching** — the per-mask probability products of
-  Eq. 11 depend only on the candidates' (switch, static) probability
-  vectors, which repeat across thousands of gates on an ISCAS netlist.
-  :class:`WeightTableCache` memoizes the 2^k-entry tables keyed on
-  ``(fanin, rounded probability vector)``; each bucket stores the *exact*
-  vectors it has seen, so a rounded-key collision can never leak a
-  neighbouring gate's table, and every table folds its factors in the
-  naive sweep's multiplication order.
+- **Stacked Eq. 11 weights** — the per-mask probability products of
+  Eq. 11 for every gate direction of one ``(fanin, MAX/MIN)`` group are
+  one array product over the candidate bits
+  (:func:`subset_weight_tables`), folded in the naive sweep's
+  multiplication order, so they are bit-identical to it.
 
 - **Subset-lattice MAX/MIN sharing** — the naive path folds the grid MAX
   over each subset from scratch (k·2^(k-1) pairwise folds per gate
   direction).  Because the MAX folds left-to-right, the MAX over a subset
   equals ``max(MAX(subset minus top bit), top)``: dynamic programming over
   the precomputed subset lattice computes each mask in ONE pairwise fold
-  (2^k - 1 - k total) on stacked rows (:func:`_subset_dp`).
+  (2^k - 1 - k total), in place on stacked node tables
+  (:func:`_subset_dp`), and skips the CDFs no later fold reads.
 
 - **Stacked grid kernels** — within a level the walker stacks every
   conditional density into 2-D arrays, so normalization, CDF
@@ -98,6 +96,10 @@ class SubsetLattice:
     is the highest set bit, ``prev`` the mask with that bit cleared (the
     DP predecessor), ``pop`` the popcount; ``by_pop[c]`` lists the 0-based
     indices of all masks with popcount ``c + 1`` (for batched grid DP).
+    ``bits[m, i]`` says whether candidate ``i`` is in mask ``m + 1``.
+    ``skip_cdf`` marks the folded masks (popcount >= 2) whose top bit is
+    the highest candidate: no mask extends them, so the DP never reads
+    their CDF.
     """
 
     k: int
@@ -105,73 +107,41 @@ class SubsetLattice:
     prev: np.ndarray
     pop: np.ndarray
     by_pop: Tuple[np.ndarray, ...]
+    bits: np.ndarray
+    skip_cdf: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def subset_lattice(k: int) -> SubsetLattice:
     """The (memoized) subset lattice for fanin ``k``."""
     masks = np.arange(1, 1 << k)
-    top = np.zeros(masks.shape[0], dtype=np.int64)
-    pop = np.zeros(masks.shape[0], dtype=np.int64)
-    for idx, mask in enumerate(masks):
-        top[idx] = int(mask).bit_length() - 1
-        pop[idx] = bin(int(mask)).count("1")
+    bits = ((masks[:, None] >> np.arange(k)) & 1).astype(bool)
+    pop = bits.sum(axis=1)
+    top = np.array([int(mask).bit_length() - 1 for mask in masks],
+                   dtype=np.int64)
     prev = masks - (1 << top)
     by_pop = tuple(np.nonzero(pop == c)[0] for c in range(1, k + 1))
-    return SubsetLattice(k, top, prev, pop, by_pop)
+    skip_cdf = (top == k - 1) & (pop >= 2)
+    return SubsetLattice(k, top, prev, pop, by_pop, bits, skip_cdf)
 
 
-# ---------------------------------------------------------------------------
-# Eq. 11 subset-weight tables, memoized across gates.
-# ---------------------------------------------------------------------------
+def subset_weight_tables(switch: np.ndarray,
+                         static: np.ndarray) -> np.ndarray:
+    """Eq. 11 subset weights of a stack of candidate probability vectors.
 
-def build_weight_table(switch: Tuple[float, ...],
-                       static: Tuple[float, ...]) -> np.ndarray:
-    """Per-mask subset weights for one candidate probability vector.
-
-    Folds the factors in candidate index order — the exact multiplication
-    order of the naive ``_subset_terms`` loop, so cached tables keep the
-    moment engine bit-identical to the reference path.
+    ``switch``/``static`` are ``(rows, k)``; row ``r`` of the result holds
+    the ``2^k - 1`` mask products ``prod_i (switch[r, i] if i in mask else
+    static[r, i])``, indexed by ``mask - 1``.  Factors multiply in
+    candidate order starting from 1.0 -- the naive ``_subset_terms``
+    fold's order -- so every entry is bit-identical to the scalar loop.
     """
-    k = len(switch)
-    table = np.empty((1 << k) - 1)
-    for mask in range(1, 1 << k):
-        w = 1.0
-        for bit in range(k):
-            w *= switch[bit] if (mask >> bit) & 1 else static[bit]
-        table[mask - 1] = w
+    rows, k = switch.shape
+    lat = subset_lattice(k)
+    table = np.ones((rows, lat.bits.shape[0]))
+    for i in range(k):
+        table *= np.where(lat.bits[:, i], switch[:, i, None],
+                          static[:, i, None])
     return table
-
-
-class WeightTableCache:
-    """Memoized Eq. 11 subset-weight tables.
-
-    Keys are ``(fanin, rounded switch/static probability vectors)``; each
-    bucket stores the exact vectors alongside the table and only serves an
-    exact match, so rounding governs hashing but never the numbers.
-    """
-
-    __slots__ = ("hits", "misses", "_buckets")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self._buckets: Dict[tuple, List[tuple]] = {}
-
-    def table(self, switch: Tuple[float, ...],
-              static: Tuple[float, ...]) -> np.ndarray:
-        key = (len(switch),
-               tuple(round(p, 12) for p in switch),
-               tuple(round(p, 12) for p in static))
-        bucket = self._buckets.setdefault(key, [])
-        for exact_switch, exact_static, table in bucket:
-            if exact_switch == switch and exact_static == static:
-                self.hits += 1
-                return table
-        table = build_weight_table(switch, static)
-        bucket.append((switch, static, table))
-        self.misses += 1
-        return table
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +154,6 @@ class _GridContext:
 
     grid: TimeGrid
     kernel_cache: KernelCache
-    wcache: WeightTableCache
     parity_cap: int
     profile: SpstaProfile
 
@@ -235,191 +204,50 @@ class _GridContext:
             prof.max_clip_fraction = worst
 
 
-class _ControllingJob:
-    """One AND/OR-core gate direction of one MIS-model scenario whose
-    subset DP is deferred.
-
-    MIS-aware delay models pick a kernel per subset popcount, so these
-    directions cannot share the walker's one-kernel-per-row templates.
-    Jobs from every gate (and scenario) of a level are grouped by
-    ``(fanin, use_max)`` and evaluated together in
-    :func:`_run_controlling_jobs` as 3-D stacked array ops.  After the
-    batched run, ``total`` holds the direction's occurrence weight and
-    ``acc`` maps each distinct delay kernel to its pre-mixed row.
-    """
-
-    __slots__ = ("k", "use_max", "weights", "pdfs", "cdfs", "delay_for",
-                 "total", "acc")
-
-    def __init__(self, k: int, use_max: bool, weights: np.ndarray,
-                 pdfs: List[np.ndarray], cdfs: List[np.ndarray],
-                 delay_for) -> None:
-        self.k = k
-        self.use_max = use_max
-        self.weights = weights
-        self.pdfs = pdfs
-        self.cdfs = cdfs
-        self.delay_for = delay_for
-        self.total = 0.0
-        self.acc: Dict[Tuple[float, float],
-                       Tuple[Normal, np.ndarray]] = {}
-
-
 #: Upper bound on batch-size × subset-count rows a chunked DP holds live;
 #: at n = 2048 this keeps the three (B, M, n) work arrays near ~100 MB.
 MAX_DP_ROWS = 2048
 
 
-def _run_controlling_jobs(jobs: Sequence[_ControllingJob],
-                          ctx: _GridContext) -> None:
-    """Evaluate every deferred controlling-gate direction of a level.
+def _subset_dp(node_pdf: np.ndarray, node_cdf: np.ndarray,
+               lat: SubsetLattice, use_max: bool, dt: float,
+               profile: SpstaProfile) -> None:
+    """Subset-lattice DP, in place, over mask-major node tables.
 
-    Jobs are grouped by ``(fanin, use_max)`` so one 3-D DP sweep serves all
-    gates sharing a lattice, chunked to bound peak memory.  Each job's math
-    involves only its own rows, so grouping cannot change which operations
-    run on a job's data.  Results across different groupings agree to a few
-    ULPs rather than bit-exactly: NumPy's SIMD elementwise division is not
-    guaranteed correctly rounded on every platform (observed 0.5-ulp
-    truncations from the AVX-512 kernel), so the normalization inside the
-    DP may round differently between batch shapes.
+    ``node_pdf[m]`` is the ``(rows, n)`` block of mask ``m + 1``.  On
+    entry the singleton blocks (masks ``1 << i``) hold each row's
+    normalized operand pdfs, and ``node_cdf`` their CDFs.  Every other
+    mask combines its predecessor (top bit cleared) with its top-bit
+    operand in one stacked Eq. 3 fold, written straight into
+    ``node_pdf[m]``.  Mirrors the naive fold exactly: operands are
+    normalized before each fold and the result's CDF is recomputed by
+    trapezoid accumulation -- except for the ``lat.skip_cdf`` masks,
+    whose CDF no later fold reads, so ``node_cdf`` needs only its first
+    ``2^(k-1)`` blocks.  Each row's math involves only its own operands,
+    so callers may stack rows from any mix of gates and scenarios.
     """
-    groups: Dict[Tuple[int, bool], List[_ControllingJob]] = {}
-    for job in jobs:
-        groups.setdefault((job.k, job.use_max), []).append(job)
-    for (k, use_max), group in groups.items():
-        lat = subset_lattice(k)
-        chunk = max(1, MAX_DP_ROWS // ((1 << k) - 1))
-        for lo in range(0, len(group), chunk):
-            _run_controlling_chunk(group[lo:lo + chunk], lat, use_max, ctx)
-
-
-def _subset_dp(pdfs: np.ndarray, cdfs: np.ndarray, lat: SubsetLattice,
-               use_max: bool, dt: float,
-               profile: SpstaProfile) -> Tuple[np.ndarray, np.ndarray]:
-    """Subset-lattice DP over a ``(rows, k, n)`` stack of operand rows.
-
-    DP over the subset lattice, batched by popcount across the whole
-    batch: all masks of one cardinality of all rows combine their
-    predecessor with one extra input in a single stacked Eq. 3 pass.
-    Mirrors the naive fold exactly: operands are normalized before each
-    fold and the result's CDF is recomputed by trapezoid accumulation.
-    Each row's math involves only its own operands, so callers may stack
-    rows from any mix of gates (and, in the scenario backend, scenarios)
-    without changing which operations touch a row.
-
-    Returns ``(node_pdf, node_cdf)`` of shape ``(rows, 2^k - 1, n)``
-    indexed by ``mask - 1``; node pdfs are the normalized fold results,
-    node cdfs their trapezoid accumulations.  Cdfs of full-popcount
-    masks are never consumed by a further fold and are left unset —
-    callers use ``node_pdf`` only.
-
-    Masks are evaluated one at a time against strided views of the node
-    tables: the per-mask arrays are ``(rows, n)`` and rows-dominated
-    batches avoid the fancy-index copies a per-popcount gather would
-    make.
-    """
-    b, k, n = pdfs.shape
-    node_pdf = np.empty((b, (1 << k) - 1, n))
-    node_cdf = np.empty_like(node_pdf)
-    singles = lat.by_pop[0]
-    node_pdf[:, singles] = pdfs[:, lat.top[singles]]
-    node_cdf[:, singles] = cdfs[:, lat.top[singles]]
-    last = k - 1
-    for c in range(1, k):
-        idxs = lat.by_pop[c]
-        if idxs.size == 0:
-            continue
+    rows = node_pdf.shape[1]
+    for idxs in lat.by_pop[1:]:
         for m in idxs:
-            pa = node_pdf[:, lat.prev[m] - 1]
-            ca = node_cdf[:, lat.prev[m] - 1]
-            pb = pdfs[:, lat.top[m]]
-            cb = cdfs[:, lat.top[m]]
+            out = node_pdf[m]
+            pa = node_pdf[lat.prev[m] - 1]
+            ca = node_cdf[lat.prev[m] - 1]
+            single = (1 << lat.top[m]) - 1
+            pb = node_pdf[single]
+            cb = node_cdf[single]
             if use_max:
-                raw = pa * cb                             # Eq. 3
-                raw += pb * ca
+                np.multiply(pa, cb, out=out)              # Eq. 3
+                out += pb * ca
             else:
-                raw = pa * (1.0 - cb)                     # MIN analogue
-                raw += pb * (1.0 - ca)
-            ints = trapezoid_rows(raw, dt)
+                np.multiply(pa, 1.0 - cb, out=out)        # MIN analogue
+                out += pb * (1.0 - ca)
+            ints = trapezoid_rows(out, dt)
             if np.any(ints <= 0.0):
                 raise ValueError("cannot normalize an empty density")
-            raw /= ints[:, None]
-            node_pdf[:, m] = raw
-            if c != last:
-                node_cdf[:, m] = cdf_rows(raw, dt)
-        profile.max_folds += idxs.size * b
-    return node_pdf, node_cdf
-
-
-def _run_controlling_chunk(batch: Sequence[_ControllingJob],
-                           lat: SubsetLattice, use_max: bool,
-                           ctx: _GridContext) -> None:
-    """Subset DP + retention-corrected row extraction for one job batch."""
-    dt = ctx.grid.dt
-    n = ctx.grid.n
-    k = lat.k
-    b = len(batch)
-    pdfs = np.empty((b, k, n))
-    cdfs = np.empty((b, k, n))
-    for j, job in enumerate(batch):
-        for i in range(k):
-            pdfs[j, i] = job.pdfs[i]
-            cdfs[j, i] = job.cdfs[i]
-    node_pdf, _ = _subset_dp(pdfs, cdfs, lat, use_max, dt, ctx.profile)
-    # Fold each positive mask's weight and exact convolution retention into
-    # its node row, accumulating one pre-mixed row per distinct delay
-    # kernel per job (convolution is linear, so one convolution of the
-    # accumulated row equals convolving every Eq. 11 term separately).
-    # Each node row is normalized, so its post-convolution integral is its
-    # retention; the off-grid loss of mask `m` is w_m * (1 - r_m).
-    weight_mat = np.stack([job.weights for job in batch])
-    job_delays = [[job.delay_for(c) for c in range(1, k + 1)]
-                  for job in batch]
-    for c_idx in range(k):
-        sel = lat.by_pop[c_idx]
-        w = weight_mat[:, sel]
-        active = np.nonzero((w > 0.0).any(axis=1))[0]
-        if active.size == 0:
-            continue
-        by_delay: Dict[Tuple[float, float], Tuple[Normal, List[int]]] = {}
-        for j in active:
-            delay = job_delays[j][c_idx]
-            by_delay.setdefault((delay.mu, delay.sigma), (delay, []))[1] \
-                .append(int(j))
-        sub = node_pdf[:, sel]
-        for key, (delay, js) in by_delay.items():
-            retention = ctx.retention(delay)
-            jarr = np.asarray(js)
-            subj = sub if jarr.size == b else sub[jarr]
-            retained = subj @ retention
-            wj = w[jarr]
-            positive = wj > 0.0
-            if np.any(positive & (retained <= 0.0)):
-                raise ValueError("cannot normalize an empty density")
-            ctx.record_mass((wj * (1.0 - retained))[positive],
-                            wj[positive], "subset convolution")
-            coef = np.where(positive,
-                            wj / np.where(retained > 0.0, retained, 1.0), 0.0)
-            rows_c = np.einsum("jl,jln->jn", coef, subj)
-            for t, j in enumerate(js):
-                acc = batch[j].acc.get(key)
-                if acc is None:
-                    batch[j].acc[key] = (delay, rows_c[t])
-                else:
-                    batch[j].acc[key] = (delay, acc[1] + rows_c[t])
-    _finish_jobs(batch, ctx)
-
-
-def _finish_jobs(batch: Sequence[_ControllingJob],
-                 ctx: _GridContext) -> None:
-    """Total occurrence weight (in naive mask order) and term counters."""
-    for job in batch:
-        positive = job.weights[job.weights > 0.0].tolist()
-        total = 0.0
-        for weight in positive:         # mask order, like the naive mix
-            total += weight
-        job.total = total
-        ctx.profile.subset_terms += len(positive)
+            out /= ints[:, None]
+            if not lat.skip_cdf[m]:
+                cdf_rows(out, dt, out=node_cdf[m])
+        profile.max_folds += idxs.size * rows
 
 
 def _convolve_matrix(matrix: np.ndarray, delays: Sequence[Normal],
@@ -566,11 +394,7 @@ def run_spsta_fast(netlist: Netlist,
         compiled = compile_netlist(netlist,
                                    max_parity_fanin=max_parity_fanin)
     profile.levels = len(compiled.levels)
-    wcache = WeightTableCache()
     [(prob4, tops)] = _run_grid_group(compiled, stats, [delay_model],
-                                      algebra, wcache, profile,
-                                      seed_tops=seed_tops)
-    profile.weight_table_hits = wcache.hits
-    profile.weight_table_misses = wcache.misses
+                                      algebra, profile, seed_tops=seed_tops)
     _harvest_kernel_counters(algebra, profile)
     return SpstaResult(netlist.name, algebra, prob4, tops, profile)

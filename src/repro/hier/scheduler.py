@@ -56,9 +56,9 @@ KEEP_MODES = ("interface", "all")
 #: Profile counters summed from worker profiles into the parent profile.
 _MERGE_COUNTERS = (
     "gates_processed", "subset_terms", "parity_terms", "max_folds",
-    "weight_table_hits", "weight_table_misses", "kernel_cache_hits",
-    "kernel_cache_misses", "fft_convolutions", "direct_convolutions",
-    "shift_rows", "mass_checks", "clip_events", "finite_checks",
+    "kernel_cache_hits", "kernel_cache_misses", "fft_convolutions",
+    "direct_convolutions", "shift_rows", "mass_checks", "clip_events",
+    "finite_checks",
 )
 
 #: One dispatched payload: (region index, sub-netlist, boundary seeds,

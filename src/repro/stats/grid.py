@@ -298,12 +298,13 @@ def convolve_rows(rows: np.ndarray, kernel: GaussianKernel,
         nfft = _next_fast_len(n + 2 * half)
         spectra = np.fft.rfft(rows, nfft) * kernel.rfft(nfft)
         full = np.fft.irfft(spectra, nfft)
-        out = np.ascontiguousarray(full[:, half:half + n])
+        del spectra
+        out = full[:, half:half + n]    # copied out by either return
     else:
         raise ValueError(f"unknown convolution method {method!r}")
     if kernel.shift:
-        out = shift_rows(out, kernel.shift)
-    return out
+        return shift_rows(out, kernel.shift)
+    return np.ascontiguousarray(out)
 
 
 def trapezoid_rows(rows: np.ndarray, dt: float) -> np.ndarray:
@@ -353,13 +354,19 @@ def shift_retention_vector(bins: int, n: int, dt: float) -> np.ndarray:
     return dt * c
 
 
-def cdf_rows(rows: np.ndarray, dt: float) -> np.ndarray:
+def cdf_rows(rows: np.ndarray, dt: float,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """Cumulative trapezoid integral of each row (same shape), matching
-    :meth:`GridDensity.cdf_values` bin for bin."""
-    out = np.empty_like(rows)
+    :meth:`GridDensity.cdf_values` bin for bin; written into ``out`` when
+    given.  The bin increments accumulate in place, so the only
+    allocation is ``out`` itself."""
+    if out is None:
+        out = np.empty_like(rows)
     out[:, 0] = 0.0
-    np.cumsum((rows[:, 1:] + rows[:, :-1]) * (0.5 * dt), axis=1,
-              out=out[:, 1:])
+    body = out[:, 1:]
+    np.add(rows[:, 1:], rows[:, :-1], out=body)
+    body *= 0.5 * dt
+    np.cumsum(body, axis=1, out=body)
     return out
 
 

@@ -7,8 +7,8 @@ policy.  Three regimes:
 - **replication** pairs (fast vs naive on the same algebra) share the
   mathematics and differ only in evaluation order, so their tolerances are
   rounding-level: bit-exact for the closed-form algebras, a few ULPs of
-  batched-SIMD division noise for the grid algebra (see
-  ``_run_controlling_jobs``).
+  batched-SIMD division and BLAS summation-order noise for the grid
+  algebra (see ``repro.core.scenario._run_subset_group``).
 - **abstraction** pairs (moment / mixture vs the numerically exact grid)
   differ by Clark's moment-matching error on MAX/MIN, which grows with
   depth; tolerances follow the envelope measured across the evaluation

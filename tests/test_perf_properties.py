@@ -1,7 +1,7 @@
 """Property tests for the fast-engine building blocks.
 
 Hypothesis drives the pieces the differential suite can only sample:
-cached Eq. 11 weight tables vs the naive per-mask fold, FFT vs direct
+stacked Eq. 11 weight tables vs the naive per-mask fold, FFT vs direct
 delay convolution, retention vectors vs actually convolving-then-
 integrating, and whole random circuits through both engines.
 """
@@ -14,11 +14,7 @@ import numpy as np
 from repro.core.delay import NormalDelay
 from repro.core.inputs import CONFIG_I
 from repro.core.spsta import MomentAlgebra, run_spsta
-from repro.core.spsta_fast import (
-    WeightTableCache,
-    build_weight_table,
-    subset_lattice,
-)
+from repro.core.spsta_fast import subset_lattice, subset_weight_tables
 from repro.logic.gates import GateType
 from repro.netlist.core import Gate, Netlist
 from repro.stats.grid import (
@@ -43,48 +39,37 @@ probs = st.floats(min_value=0.0, max_value=1.0,
 # ---------------------------------------------------------------------------
 
 @given(st.integers(min_value=1, max_value=6).flatmap(
-    lambda k: st.tuples(st.tuples(*[probs] * k), st.tuples(*[probs] * k))))
-def test_weight_table_matches_naive_fold(vectors):
-    """Every mask's weight must equal the naive candidate-index-order
-    product bit for bit — that equality is what keeps the cached-table
-    moment engine bit-identical to the reference path."""
-    switch, static = vectors
-    k = len(switch)
-    table = build_weight_table(switch, static)
-    assert table.shape == ((1 << k) - 1,)
-    for mask in range(1, 1 << k):
-        w = 1.0
-        for bit in range(k):
-            w *= switch[bit] if (mask >> bit) & 1 else static[bit]
-        assert table[mask - 1] == w, mask
+    lambda k: st.lists(st.tuples(st.tuples(*[probs] * k),
+                                 st.tuples(*[probs] * k)),
+                       min_size=1, max_size=5)))
+def test_weight_tables_match_naive_fold(rows):
+    """Every row's mask weight must equal the naive candidate-order
+    product bit for bit -- that equality is what keeps the stacked grid
+    engine's Eq. 11 weights identical to the reference path."""
+    switch = np.array([row[0] for row in rows])
+    static = np.array([row[1] for row in rows])
+    k = switch.shape[1]
+    tables = subset_weight_tables(switch, static)
+    assert tables.shape == (len(rows), (1 << k) - 1)
+    for r, (sw, st_) in enumerate(rows):
+        for mask in range(1, 1 << k):
+            w = 1.0
+            for bit in range(k):
+                w *= sw[bit] if (mask >> bit) & 1 else st_[bit]
+            assert tables[r, mask - 1] == w, (r, mask)
 
 
-@given(st.tuples(probs, probs), st.tuples(probs, probs))
-def test_weight_table_cache_serves_exact_match(switch, static):
-    cache = WeightTableCache()
-    first = cache.table(switch, static)
-    again = cache.table(switch, static)
-    assert again is first
-    assert cache.hits == 1 and cache.misses == 1
-
-
-def test_weight_table_cache_rounded_key_collision():
-    """Two distinct vectors that round to the same 12-digit key share a
-    bucket but must each get their own exact table."""
-    switch_a = (0.5, 0.25)
-    switch_b = (0.5 + 2e-13, 0.25)
-    assert switch_a != switch_b
-    assert round(switch_a[0], 12) == round(switch_b[0], 12)
-    static = (0.125, 0.75)
-    cache = WeightTableCache()
-    table_a = cache.table(switch_a, static)
-    table_b = cache.table(switch_b, static)
-    assert cache.misses == 2 and cache.hits == 0
-    assert table_a[0] == switch_a[0] * static[1]
-    assert table_b[0] == switch_b[0] * static[1]
-    assert cache.table(switch_a, static) is table_a
-    assert cache.table(switch_b, static) is table_b
-    assert cache.hits == 2
+@given(st.integers(min_value=1, max_value=10))
+def test_skipped_cdfs_are_never_read(k):
+    """The DP skips a folded mask's CDF exactly when no other mask
+    extends it (reads it as ``prev``), and every CDF it does need lives
+    in the first 2^(k-1) node slots."""
+    lat = subset_lattice(k)
+    read = set((lat.prev[lat.prev > 0] - 1).tolist())
+    folded = set(np.nonzero(lat.pop >= 2)[0].tolist())
+    assert set(np.nonzero(lat.skip_cdf)[0].tolist()) == folded - read
+    needed = set(range((1 << k) - 1)) - set(np.nonzero(lat.skip_cdf)[0])
+    assert needed == set(range(1 << (k - 1)))
 
 
 @given(st.integers(min_value=1, max_value=10))
@@ -96,6 +81,8 @@ def test_subset_lattice_structure(k):
                           [bin(int(m)).count("1") for m in masks])
     covered = np.concatenate(lat.by_pop)
     assert sorted(covered) == list(range((1 << k) - 1))
+    assert np.array_equal(lat.bits.sum(axis=1), lat.pop)
+    assert lat.bits[np.arange(masks.size), lat.top].all()
 
 
 # ---------------------------------------------------------------------------

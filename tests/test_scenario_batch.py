@@ -317,16 +317,20 @@ def test_empty_and_bad_arguments_raise():
 
 def test_profile_counts_batched_work():
     """The sweep profile must reflect the batched execution: scenario
-    count recorded, weight tables shared across scenarios (hits from
-    the second scenario on), guardrail accounting active."""
+    count recorded, every scenario's subset folds counted (4x the
+    one-scenario run), guardrail accounting active."""
+    netlist = benchmark_circuit("s298")
     sweep = run_scenario_batch(
-        benchmark_circuit("s298"),
-        _corner_scenarios(4, NormalDelay(1.0, 0.1)),
+        netlist, _corner_scenarios(4, NormalDelay(1.0, 0.1)),
+        GridAlgebra(GRID))
+    single = run_scenario_batch(
+        netlist, _corner_scenarios(1, NormalDelay(1.0, 0.1)),
         GridAlgebra(GRID))
     profile = sweep.profile
     assert profile.scenarios == 4
     assert profile.gates_processed > 0
-    assert profile.weight_table_hits > 0
+    assert single.profile.max_folds > 0
+    assert profile.max_folds == 4 * single.profile.max_folds
     assert profile.mass_checks > 0
     assert profile.max_clip_fraction < 1e-6
 

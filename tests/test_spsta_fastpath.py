@@ -205,8 +205,8 @@ def test_seed_tops_canonical_bitexact():
 @pytest.mark.parametrize("delay", [NormalDelay(1.0, 0.1), MisDelay()],
                          ids=lambda d: type(d).__name__)
 def test_seed_tops_grid_within_policy(delay):
-    """Seeded grid regions, on the stacked template path (NormalDelay)
-    and the per-popcount MIS job path (MisDelay)."""
+    """Seeded grid regions, with one delay kernel per subset row
+    (NormalDelay) and one per distinct popcount kernel (MisDelay)."""
     grid = TimeGrid(-8.0, 60.0, 512)
     sub, seeds = _seeded_region(lambda: GridAlgebra(grid), delay)
     fast, naive = _both_seeded(sub, seeds, delay, lambda: GridAlgebra(grid))
@@ -217,12 +217,12 @@ def test_seed_tops_grid_within_policy(delay):
 S1196_GRID_COUNTERS = {
     "NormalDelay": dict(gates_processed=529, levels=13, subset_terms=4204,
                         parity_terms=858, max_folds=3026,
-                        weight_table_hits=484, weight_table_misses=268,
+                        weight_table_hits=0, weight_table_misses=0,
                         fft_convolutions=1058, shift_rows=0,
                         mass_checks=6184),
     "MisDelay": dict(gates_processed=529, levels=13, subset_terms=4204,
                      parity_terms=858, max_folds=3026,
-                     weight_table_hits=484, weight_table_misses=268,
+                     weight_table_hits=0, weight_table_misses=0,
                      fft_convolutions=0, shift_rows=2212,
                      mass_checks=6184),
 }
@@ -278,7 +278,7 @@ def test_parity_fanin_cap_override():
 
 def test_fast_engine_profile_counters():
     """The fast grid run must actually exercise the optimizations the
-    profile layer counts: cached weight tables, cached kernels, FFT."""
+    profile layer counts: lattice folds, cached kernels, FFT."""
     from repro.core.profiling import SpstaProfile
 
     profile = SpstaProfile()
@@ -288,7 +288,76 @@ def test_fast_engine_profile_counters():
     assert profile.gates_processed > 0
     assert profile.levels > 0
     assert profile.subset_terms > 0
-    assert profile.weight_table_hits > 0
+    assert profile.max_folds > 0
     assert profile.kernel_cache_hits > 0
     assert profile.fft_convolutions > 0
     assert "phase seconds" in profile.render() or profile.phase_seconds
+
+
+@pytest.mark.parametrize("delay", [NormalDelay(1.0, 0.1), MisDelay()],
+                         ids=lambda d: type(d).__name__)
+def test_chunked_subset_dp_matches_default(delay, monkeypatch):
+    """With ``MAX_DP_ROWS`` at 0 every subset DP chunk holds one row, so
+    every ``(fanin, MAX/MIN)`` group of more than one row splits; the
+    weights must not move and the densities only by rounding."""
+    import repro.core.scenario as scenario
+
+    grid = TimeGrid(-8.0, 60.0, 512)
+    netlist = benchmark_circuit("s1196")
+    real_dp = scenario._subset_dp
+
+    def run(chunks):
+        def spy(node_pdf, *args):
+            chunks.append(node_pdf.shape[1])        # (masks, rows, bins)
+            real_dp(node_pdf, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario, "_subset_dp", spy)
+            return run_spsta(netlist, CONFIG_I, delay, GridAlgebra(grid))
+
+    default_chunks: list = []
+    default = run(default_chunks)
+    split_chunks: list = []
+    monkeypatch.setattr(scenario, "MAX_DP_ROWS", 0)
+    split = run(split_chunks)
+    assert set(split_chunks) == {1}
+    assert len(split_chunks) == sum(default_chunks) > len(default_chunks)
+    assert split.profile.max_folds == default.profile.max_folds
+    for net in default.tops:
+        assert split.prob4[net] == default.prob4[net], net
+        for direction in ("rise", "fall"):
+            a = getattr(split.tops[net], direction)
+            b = getattr(default.tops[net], direction)
+            assert a.weight == b.weight, (net, direction)
+            assert a.occurs == b.occurs, (net, direction)
+            if b.occurs:
+                assert np.max(np.abs(a.conditional.values
+                                     - b.conditional.values)) <= 1e-14, \
+                    (net, direction)
+
+
+def _wide_and_or_circuit(seed: int) -> Netlist:
+    """A seeded random AND/OR-family circuit with 5- and 6-input gates."""
+    rng = np.random.default_rng(seed)
+    types = (GateType.AND, GateType.OR, GateType.NAND, GateType.NOR)
+    inputs = [f"i{j}" for j in range(8)]
+    nets = list(inputs)
+    gates = []
+    fanins = [5, 6, 6, 5] + [int(k) for k in rng.integers(2, 7, size=8)]
+    for g, k in enumerate(fanins):
+        srcs = rng.choice(len(nets), size=k, replace=False)
+        gates.append(Gate(f"g{g}", types[int(rng.integers(len(types)))],
+                          tuple(nets[s] for s in sorted(srcs))))
+        nets.append(f"g{g}")
+    return Netlist(f"wide{seed}", inputs, nets[-3:], gates)
+
+
+def test_grid_wide_fanin_mis_within_policy():
+    """5- and 6-input AND/OR cores under an MIS delay model: one premixed
+    row per distinct popcount kernel, held to ``fast-vs-naive/grid``."""
+    netlist = _wide_and_or_circuit(7)
+    assert {5, 6} <= {len(g.inputs) for g in netlist.gates.values()}
+    fast, naive = _both(netlist, CONFIG_I, MisDelay(sigma=0.05),
+                        lambda: GridAlgebra(GRID))
+    _assert_within_policy(fast, naive, POLICIES["fast-vs-naive/grid"])
+    assert fast.profile.subset_terms == naive.profile.subset_terms
