@@ -64,7 +64,6 @@ import numpy as np
 from repro.core.delay import DelayModel, UnitDelay
 from repro.core.incremental import UpdateStats
 from repro.core.inputs import InputStats, Prob4
-from repro.core.probability import gate_prob4
 from repro.core.spsta import (
     MAX_PARITY_FANIN,
     MomentAlgebra,
@@ -73,7 +72,7 @@ from repro.core.spsta import (
     TopAlgebra,
     TopFunction,
     _gate_tops,
-    launch_tops,
+    run_spsta,
     validate_parity_fanins,
 )
 from repro.netlist.core import Netlist
@@ -245,25 +244,16 @@ class IncrementalSpsta(Generic[D]):
                            cone_size=len(cone))
 
     def full_recompute(self) -> None:
-        """Reference full pass (initialisation, testing, resync).
-
-        Identical math to ``run_spsta(engine="naive")``: shared launch
-        seeding plus the shared per-gate kernel in topological order.
-        Drops the undo record.
+        """Reference full pass (initialisation, testing, resync): a
+        ``run_spsta(engine="naive")`` over the effective delays.  Drops
+        the undo record.
         """
         self._undo = None
-        prob4: Dict[str, Prob4] = {}
-        tops: Dict[str, NetTops[D]] = {}
-        launch_tops(self.netlist, self._stats, self.algebra, prob4, tops)
-        for gate in self.netlist.combinational_gates:
-            in_probs = [prob4[src] for src in gate.inputs]
-            in_tops = [tops[src] for src in gate.inputs]
-            prob4[gate.name] = gate_prob4(gate.gate_type, in_probs)
-            tops[gate.name] = _gate_tops(gate, in_probs, in_tops,
-                                         self._model, self.algebra,
-                                         self._parity_cap)
-        self.prob4 = prob4
-        self.tops = tops
+        full = run_spsta(self.netlist, self._stats, self._model,
+                         self.algebra, engine="naive",
+                         max_parity_fanin=self._parity_cap)
+        self.prob4 = dict(full.prob4)
+        self.tops = dict(full.tops)
 
     def result(self) -> SpstaResult[D]:
         """The current state as an ordinary :class:`SpstaResult` view."""
@@ -346,7 +336,6 @@ def assert_matches_full(inc: IncrementalSpsta[D],
     (``optimize_spsta(verify_moves=True)``); the sweep-level counterpart
     lives in :mod:`repro.verify.harness`.
     """
-    from repro.core.spsta import run_spsta
     full = run_spsta(inc.netlist, inc._stats,
                      inc.effective_delay_model(),
                      fresh_algebra_like(inc.algebra), engine="naive")

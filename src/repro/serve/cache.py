@@ -8,17 +8,16 @@ Two tiers with one key space (the fingerprint keys of
 - an optional on-disk tier (``--cache DIR``) so a *restarted* daemon —
   or a concurrent worker sharing the directory — starts warm.
 
-The disk tier is indexed by file name.  Each entry is one
-self-describing file, ``rs_<tag8>_<key>.json`` (``tag8``: the first 8
-hex digits of sha256 of the circuit name), holding a one-line JSON
-header — the full key, the circuit, the SHA-256 of the payload — and
-then the payload text.  A put writes a uniquely named temp file, fsyncs
-it and renames it into place, so a reader sees a whole entry or none,
-and two writers of one key cannot interleave (the last rename wins, and
-both wrote the same content-addressed payload).  A get opens the key's
-file directly, so entries other workers wrote are visible at once, with
-no shared index to merge or lock.  ``manifest.json`` only marks the
-directory's format.
+The disk tier uses the on-disk entry format it shares with the hier
+interface store (:mod:`repro.diskstore`), indexed by file name.  Each
+entry is one self-describing file, ``rs_<tag8>_<key>.json`` (``tag8``:
+the first 8 hex digits of sha256 of the circuit name), holding a
+one-line JSON header — the full key, the circuit, the SHA-256 of the
+payload — and then the payload text.  A put is one atomic write, so a
+reader sees a whole entry or none, and two writers of one key cannot
+interleave.  A get opens the key's file directly, so entries other
+workers wrote are visible at once, with no shared index to merge or
+lock.  ``manifest.json`` only marks the directory's format.
 
 Entries are stored as the *serialized* result payload and deserialized
 on hit, so a hit returns exactly what ``json`` round-trips — the
@@ -32,18 +31,19 @@ wrong-key or bad-checksum file is a miss and is unlinked).
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import suppress
 import hashlib
 import json
-import logging
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.sim.checkpoint import atomic_write_bytes
+from repro.diskstore import (
+    discard,
+    open_store,
+    read_entry,
+    read_header,
+    write_entry,
+)
 
-logger = logging.getLogger(__name__)
-
-MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "spsta-serve-cache"
 MANIFEST_VERSION = 2
 
@@ -74,7 +74,8 @@ class ResultCache:
         self.evictions = 0
         self.disk_hits = 0
         if self.directory is not None:
-            self._open_disk()
+            open_store(self.directory, MANIFEST_FORMAT, MANIFEST_VERSION,
+                       ServeCacheError)
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -122,13 +123,8 @@ class ResultCache:
         text = json.dumps(result, sort_keys=True)
         self._remember(key, text, circuit)
         if self.directory is not None:
-            payload = text.encode()
-            header = json.dumps({
-                "circuit": circuit, "key": key,
-                "sha256": hashlib.sha256(payload).hexdigest(),
-            }, sort_keys=True).encode()
-            atomic_write_bytes(self.entry_path(key, circuit),
-                               header + b"\n" + payload)
+            write_entry(self.entry_path(key, circuit), key, text.encode(),
+                        circuit=circuit)
 
     def invalidate_circuit(self, circuit: str) -> int:
         """Drop every entry tagged with ``circuit``; returns the count."""
@@ -139,10 +135,10 @@ class ResultCache:
         if self.directory is not None:
             for path in self.directory.glob(
                     f"rs_{_circuit_tag(circuit)}_*.json"):
-                header = _read_header(path)
+                header = read_header(path)
                 if header is not None and header.get("circuit") != circuit:
                     continue            # another circuit with this tag
-                _discard(path)
+                discard(path)
                 if header is not None:
                     victims.add(str(header.get("key")))
         return len(victims)
@@ -162,46 +158,6 @@ class ResultCache:
         assert self.directory is not None
         return self.directory / f"rs_{_circuit_tag(circuit)}_{key}.json"
 
-    @property
-    def manifest_path(self) -> Path:
-        assert self.directory is not None
-        return self.directory / MANIFEST_NAME
-
-    def _open_disk(self) -> None:
-        """Create or check the format marker.  A version-1 directory (one
-        shared manifest indexing every entry) opens empty: its entries
-        are deleted, never served."""
-        assert self.directory is not None
-        self.directory.mkdir(parents=True, exist_ok=True)
-        try:
-            manifest = json.loads(self.manifest_path.read_text())
-        except FileNotFoundError:
-            manifest = None
-        except (OSError, ValueError):
-            manifest = {}
-        if manifest is not None:
-            version = (manifest.get("version")
-                       if isinstance(manifest, dict)
-                       and manifest.get("format") == MANIFEST_FORMAT
-                       else None)
-            if version == MANIFEST_VERSION:
-                return
-            if version != 1:
-                raise ServeCacheError(
-                    f"{self.manifest_path} is not a {MANIFEST_FORMAT} "
-                    f"v{MANIFEST_VERSION} manifest — refusing to use the "
-                    f"directory as a cache")
-            entries = manifest.get("entries")
-            for entry in (entries.values()
-                          if isinstance(entries, dict) else ()):
-                name = entry.get("file") if isinstance(entry, dict) else None
-                if isinstance(name, str) and Path(name).name == name:
-                    _discard(self.directory / name)
-            _discard(self.directory / "manifest.lock")
-        marker = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION}
-        atomic_write_bytes(self.manifest_path,
-                           (json.dumps(marker) + "\n").encode())
-
     def _disk_read(self, key: str, circuit: Optional[str]
                    ) -> Optional[Tuple[str, str, Dict[str, Any]]]:
         """(payload text, circuit, parsed payload) of the key's file, or
@@ -212,36 +168,13 @@ class ResultCache:
                 else next(self.directory.glob(f"rs_*_{key}.json"), None))
         if path is None:
             return None
-        try:
-            raw = path.read_bytes()
-        except OSError:
+        entry = read_entry(path, key)
+        if entry is None:
             return None
-        head, _, payload = raw.partition(b"\n")
+        header, payload = entry
         try:
-            header = json.loads(head)
-            valid = (isinstance(header, dict) and header.get("key") == key
-                     and header.get("sha256")
-                     == hashlib.sha256(payload).hexdigest())
-            if valid:
-                text = payload.decode()
-                return text, str(header.get("circuit", "")), json.loads(text)
+            text = payload.decode()
+            return text, str(header.get("circuit", "")), json.loads(text)
         except ValueError:
-            pass
-        logger.warning("serve-cache entry %s is corrupt; dropping it", path)
-        _discard(path)
-        return None
-
-
-def _discard(path: Path) -> None:
-    with suppress(OSError):
-        path.unlink()
-
-
-def _read_header(path: Path) -> Optional[Dict[str, Any]]:
-    """The header object of an entry file, or None if unreadable."""
-    try:
-        with open(path, "rb") as handle:
-            header = json.loads(handle.readline())
-    except (OSError, ValueError):
-        return None
-    return header if isinstance(header, dict) else None
+            discard(path)
+            return None

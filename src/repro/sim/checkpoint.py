@@ -4,9 +4,10 @@ A checkpoint directory holds one pickle per completed shard (the shard's
 per-net :class:`~repro.sim.accumulator.NetAccumulator` dict plus its
 :class:`~repro.sim.parallel.ShardReport`) and a ``manifest.json`` that
 names the run they belong to.  Every write is atomic
-(:func:`atomic_write_bytes`: write a uniquely named temporary file in
-the same directory, fsync, ``os.replace``), so a run killed mid-write
-can never leave a half-written shard behind the manifest's back.
+(:func:`repro.diskstore.atomic_write_bytes`, the atomic write every
+on-disk store shares: a uniquely named temporary file in the same
+directory, fsync, ``os.replace``), so a run killed mid-write can never
+leave a half-written shard behind the manifest's back.
 
 The manifest key pins everything the merged statistics depend on — root
 seed, circuit structure, input statistics, delay model, trial budget, and
@@ -26,16 +27,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, is_dataclass
 import hashlib
 import json
-import os
 from pathlib import Path
 import pickle
-import tempfile
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.delay import DelayModel
 from repro.core.inputs import InputStats
+from repro.diskstore import atomic_write_bytes
 from repro.netlist.core import Netlist
 from repro.sim.accumulator import NetAccumulator
 from repro.sim.faults import maybe_exit_after_persist
@@ -191,26 +191,6 @@ class CheckpointKey:
                    shards=shards,
                    stats_hash=stats_fingerprint(stats),
                    delay_hash=delay_fingerprint(delay_model))
-
-
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write a uniquely named temp file, fsync it, rename it over
-    ``path``: readers never observe a partial file, and concurrent
-    writers of one path never share a temp file.
-
-    The one atomic write of every on-disk store (checkpoints, the hier
-    interface-model cache, the serve result cache)."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
 
 
 class CheckpointStore:

@@ -10,9 +10,12 @@ within a run, and the scheduler must honor the shard layer's retry and
 deadline semantics.
 """
 
+import hashlib
+import json
 import math
 import multiprocessing
 from operator import itemgetter
+import pickle
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -188,6 +191,43 @@ class TestInterfaceCache:
         with pytest.raises(InterfaceCacheError):
             InterfaceModelStore(tmp_path)
 
+    def test_v1_directory_opens_empty(self, tmp_path):
+        """A version-1 store (an index manifest over raw pickles, plus
+        its lock file) opens empty and deletes what it indexed."""
+        from repro.hier.model import InterfaceModel
+
+        model = InterfaceModel(key="a" * 64, region_digest="d", pins={},
+                               seconds=0.0)
+        name = f"im_{model.key[:32]}.pkl"
+        payload = pickle.dumps(model)
+        tmp_path.joinpath(name).write_bytes(payload)
+        tmp_path.joinpath("manifest.lock").write_text("")
+        tmp_path.joinpath("manifest.json").write_text(json.dumps({
+            "format": "spsta-hier-cache", "version": 1,
+            "entries": {model.key: {
+                "file": name,
+                "sha256": hashlib.sha256(payload).hexdigest()}}}))
+        store = InterfaceModelStore(tmp_path)
+        assert len(store) == 0 and store.get(model.key) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json"]
+        marker = json.loads(tmp_path.joinpath("manifest.json").read_text())
+        assert marker == {"format": "spsta-hier-cache", "version": 2}
+        store.put(model)
+        assert InterfaceModelStore(tmp_path).get(model.key) == model
+
+    @pytest.mark.parametrize("manifest", [
+        "not json",
+        '{"format": "spsta-hier-cache", "version": 3}',
+    ])
+    def test_unrecognised_manifest_is_refused(self, tmp_path, manifest):
+        """A manifest the store cannot read is refused, never
+        overwritten."""
+        tmp_path.joinpath("manifest.json").write_text(manifest)
+        with pytest.raises(InterfaceCacheError):
+            InterfaceModelStore(tmp_path)
+        assert tmp_path.joinpath("manifest.json").read_text() == manifest
+
     def test_keys_separate_algebra_and_seeds(self, tmp_path):
         netlist = benchmark_circuit("s27")
         store = InterfaceModelStore(tmp_path / "cache")
@@ -207,7 +247,7 @@ def _race_puts(directory, prefix, count, barrier):
     from repro.hier.model import InterfaceModel
 
     store = InterfaceModelStore(directory)
-    barrier.wait()  # maximize manifest-write interleaving
+    barrier.wait()  # maximize put interleaving
     for i in range(count):
         key = f"{prefix}{i:04d}".ljust(40, "0")
         store.put(InterfaceModel(key=key, region_digest="d",
@@ -233,11 +273,10 @@ def _shared_model():
 class TestConcurrentPuts:
     """Two processes sharing a cache directory must not lose entries.
 
-    Before the advisory manifest lock, each process rewrote the manifest
-    from its private view, so interleaved puts dropped the other
-    process's entries (last writer wins).  Under the lock + merge-on-
-    write, every put from both processes must survive in the manifest
-    and be loadable by a fresh store.
+    Each entry is its own self-describing file, written by an atomic
+    rename, and there is no shared index: a put never reads or rewrites
+    another process's state, so interleaved puts from both processes
+    must all survive and be loadable by a fresh store.
     """
 
     N_PER_PROC = 12
@@ -265,10 +304,9 @@ class TestConcurrentPuts:
                 assert model is not None and model.key == key
 
     def test_two_processes_putting_one_key_never_collide(self, tmp_path):
-        """Two writers of the same entry (and of the manifest) must each
-        write through their own temp file: with a shared temp path one
-        writer renames the other's file away mid-write
-        (FileNotFoundError)."""
+        """Two writers of the same entry must each write through their
+        own temp file: with a shared temp path one writer renames the
+        other's file away mid-write (FileNotFoundError)."""
         directory = tmp_path / "cache"
         InterfaceModelStore(directory)
         ctx = multiprocessing.get_context("spawn")
@@ -289,8 +327,8 @@ class TestConcurrentPuts:
         assert not list(directory.glob("*.tmp"))
 
     def test_merge_preserves_foreign_entries_on_drop(self, tmp_path):
-        """_drop of a corrupt entry must not erase other processes'
-        manifest entries persisted since we last read it."""
+        """Discarding a corrupt entry must not erase entries other
+        processes persisted since this store was opened."""
         from repro.hier.model import InterfaceModel
 
         directory = tmp_path / "cache"

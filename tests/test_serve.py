@@ -28,6 +28,8 @@ import pytest
 from repro.core.incremental_spsta import assert_matches_full
 from repro.core.inputs import CONFIG_I
 from repro.core.spsta import run_spsta
+from repro.hier import InterfaceModelStore
+from repro.hier.model import InterfaceModel
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.serve import (
     PROTOCOL_VERSION,
@@ -480,6 +482,23 @@ print(ResultCache(4, sys.argv[1]).invalidate_circuit(sys.argv[2]))
 """
 
 
+def _open_store(kind, directory):
+    """(store, put(key, value), get(key), entry path(key)) of one disk
+    store: the serve result cache or the hier interface-model store."""
+    if kind == "serve":
+        cache = ResultCache(4, directory)
+        return (cache,
+                lambda key, value: cache.put(key, {"value": value},
+                                             circuit="c1"),
+                lambda key: cache.get(key, "c1"),
+                lambda key: cache.entry_path(key, "c1"))
+    store = InterfaceModelStore(directory)
+    return (store,
+            lambda key, value: store.put(InterfaceModel(
+                key=key, region_digest="d", pins={}, seconds=value)),
+            store.get, store.entry_path)
+
+
 def _python(script, *args):
     return subprocess.Popen(
         [sys.executable, "-c", script, *map(str, args)],
@@ -517,29 +536,61 @@ class TestDiskTier:
         assert fresh.disk_entries == 4 * n
         assert not list(directory.glob(".*"))  # no stray temp files
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage",
-                                        "wrong-key", "bad-checksum"])
-    def test_damaged_entry_is_a_miss_and_unlinked(self, tmp_path, damage):
-        cache = ResultCache(4, tmp_path / "rc")
+    @pytest.mark.parametrize("kind, damage", [
+        pytest.param(kind, damage,
+                     id=damage if kind == "serve" else f"{kind}-{damage}")
+        for kind in ("serve", "hier")
+        for damage in ("truncated", "garbage", "wrong-key", "bad-checksum")])
+    def test_damaged_entry_is_a_miss_and_unlinked(self, tmp_path, kind,
+                                                  damage):
+        """Both stores share the entry format, so both survive the same
+        damage: each case is a miss, and the file is unlinked."""
+        _, put, _, entry_path = _open_store(kind, tmp_path / "rc")
         key = "a" * 64
-        cache.put(key, {"value": 1.5}, circuit="c1")
-        path = cache.entry_path(key, "c1")
+        put(key, 1.5)
+        path = entry_path(key)
         raw = path.read_bytes()
         head, _, payload = raw.partition(b"\n")
         if damage == "truncated":
             path.write_bytes(raw[:len(raw) - 3])
         elif damage == "garbage":
             path.write_bytes(b"\x00\xffnot an entry")
-        elif damage == "wrong-key":
-            other = ResultCache(4, tmp_path / "other")
-            other.put("b" * 64, {"value": 1.5}, circuit="c1")
-            path.write_bytes(other.entry_path("b" * 64, "c1").read_bytes())
         else:
-            path.write_bytes(head + b"\n" + payload.replace(b"1.5", b"2.5"))
-        fresh = ResultCache(4, tmp_path / "rc")
-        assert fresh.get(key, "c1") is None
+            _, put_other, _, other_path = _open_store(kind,
+                                                      tmp_path / "other")
+            if damage == "wrong-key":
+                put_other("b" * 64, 1.5)
+                path.write_bytes(other_path("b" * 64).read_bytes())
+            else:       # a valid payload of this key, another value
+                put_other(key, 2.5)
+                other = other_path(key).read_bytes().partition(b"\n")[2]
+                assert other != payload
+                path.write_bytes(head + b"\n" + other)
+        fresh, _, get, _ = _open_store(kind, tmp_path / "rc")
+        assert get(key) is None
         assert fresh.misses == 1
         assert not path.exists()
+
+    def test_v2_entry_bytes_are_pinned(self, tmp_path):
+        """An entry written byte for byte in the v2 layout is a disk hit,
+        and a put writes exactly those bytes."""
+        directory = tmp_path / "rc"
+        directory.mkdir()
+        (directory / "manifest.json").write_bytes(
+            b'{"format": "spsta-serve-cache", "version": 2}\n')
+        key = "c" * 64
+        entry = directory / f"rs_d0f631ca_{key}.json"
+        entry.write_bytes(
+            b'{"circuit": "c1", "key": "' + key.encode() + b'", '
+            b'"sha256": "e86cc32a26168246d0380f253b0217f3'
+            b'1a93b908b7d2744b085f75d51b2f1e4b"}\n'
+            b'{"value": 1.5}')
+        cache = ResultCache(4, directory)
+        assert cache.get(key, "c1") == {"value": 1.5}
+        assert cache.disk_hits == 1
+        fresh = ResultCache(4, tmp_path / "fresh")
+        fresh.put(key, {"value": 1.5}, circuit="c1")
+        assert fresh.entry_path(key, "c1").read_bytes() == entry.read_bytes()
 
     def test_invalidate_across_processes(self, tmp_path):
         directory = tmp_path / "rc"
