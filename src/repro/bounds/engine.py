@@ -51,8 +51,12 @@ from typing import (
 
 from repro.bounds.intervals import (
     Interval,
+    add_down,
+    add_up,
     gate_interval_frechet,
     gate_interval_independent,
+    mul_down,
+    mul_up,
 )
 from repro.bounds.stems import launch_support_counts, sweep_stems
 from repro.core.delay import DelayModel, UnitDelay
@@ -297,7 +301,8 @@ def _interval_walk(manager: BDDManager, f: int, sp: Dict[str, Interval],
                    memo: Dict[int, Interval]) -> Interval:
     """Interval Shannon walk: exact per BDD node for independent launch
     points, mirroring ``BDDManager.signal_probability`` expression for
-    expression so point launches reproduce it bit for bit."""
+    expression, each end rounded outward (:mod:`repro.bounds.intervals`)
+    so the result contains the exact probability."""
     found = memo.get(f)
     if found is not None:
         return found
@@ -305,10 +310,12 @@ def _interval_walk(manager: BDDManager, f: int, sp: Dict[str, Interval],
     p = sp[manager._level_names[level]]
     wh = _interval_walk(manager, high, sp, memo)
     wl = _interval_walk(manager, low, sp, memo)
-    lo = min(p.lo * wh.lo + (1.0 - p.lo) * wl.lo,
-             p.hi * wh.lo + (1.0 - p.hi) * wl.lo)
-    hi = max(p.lo * wh.hi + (1.0 - p.lo) * wl.hi,
-             p.hi * wh.hi + (1.0 - p.hi) * wl.hi)
+    # Linear in the launch probability, so the extremes sit at its ends.
+    ends = (p.lo,) if p.is_point else (p.lo, p.hi)
+    lo = min(add_down(mul_down(x, wh.lo),
+                      mul_down(add_down(1.0, -x), wl.lo)) for x in ends)
+    hi = max(add_up(mul_up(x, wh.hi), mul_up(add_up(1.0, -x), wl.hi))
+             for x in ends)
     result = Interval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
     memo[f] = result
     return result

@@ -28,43 +28,52 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.inputs import CONFIG_I, CONFIG_II, InputStats
+from repro.core.inputs import InputStats
 from repro.core.profiling import SpstaProfile
 from repro.core.spsta import run_spsta
 from repro.core.ssta import run_ssta
 from repro.core.sta import run_sta
+from repro.diskstore import StoreError
 from repro.experiments.errors import error_summary, format_error_summary
 from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.table3 import format_table3, run_table3
 from repro.netlist.analysis import circuit_stats, critical_endpoint
 from repro.netlist.bench import parse_bench_file
-from repro.netlist.benchmarks import benchmark_circuit, benchmark_names
-from repro.netlist.core import Netlist
+from repro.netlist.benchmarks import CircuitLoadError, load_circuit
 from repro.sim.montecarlo import run_monte_carlo
 from repro.sim.parallel import RetryPolicy
+from repro.spec import (
+    ALGEBRAS,
+    CONFIGS,
+    DEFAULT_ALGEBRA,
+    DEFAULT_CONFIG,
+    DEFAULT_GRID,
+    AnalysisSpec,
+    SpecError,
+    decode_spec,
+)
 
 
-def _load_circuit(name: str) -> Netlist:
-    if name in benchmark_names():
-        return benchmark_circuit(name)
-    path = Path(name)
-    if path.exists():
-        return parse_bench_file(path)
-    raise SystemExit(
-        f"unknown circuit {name!r}: not a benchmark "
-        f"({', '.join(benchmark_names())}) and not a file")
+def _spec(args: argparse.Namespace,
+          algebra: Optional[str] = None) -> AnalysisSpec:
+    """The analysis the shared option group names (``--config``, plus
+    ``--algebra``/``--grid`` where the subcommand has them)."""
+    return decode_spec(args.config, algebra or getattr(args, "algebra", None),
+                       getattr(args, "grid", None))
 
 
-def _config(label: str) -> InputStats:
-    if label.upper() == "I":
-        return CONFIG_I
-    if label.upper() == "II":
-        return CONFIG_II
-    raise SystemExit(f"config must be I or II, got {label!r}")
+def _write_json(path: str, text: str) -> None:
+    """One ``--json PATH|-`` report: stdout for ``-``, else the file
+    (announced on stdout); either way it ends in a newline."""
+    if path == "-":
+        print(text)
+    else:
+        Path(path).write_text(text + "\n")
+        print(f"wrote {path}")
 
 
 class _McFault(NamedTuple):
@@ -105,12 +114,12 @@ def _mc_fault_args(args: argparse.Namespace) -> _McFault:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.lint import NetlistError, report_from_error
 
+    config = _spec(args).stats
     try:
-        netlist = _load_circuit(args.circuit)
+        netlist = load_circuit(args.circuit)
     except NetlistError as error:
         print(report_from_error(args.circuit, error).render())
         return 1
-    config = _config(args.config)
     if not args.no_lint:
         from repro.lint import LintConfig, LintFailure, preflight
         try:
@@ -188,14 +197,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    config = _config(args.config)
+    spec = _spec(args)
     fault = _mc_fault_args(args)
-    rows = run_table2(config, n_trials=args.trials, seed=args.seed,
+    rows = run_table2(spec.stats, n_trials=args.trials, seed=args.seed,
                       mc_mode=args.mc_mode, shards=args.shards,
                       workers=args.workers, retry=fault.retry,
                       deadline=fault.deadline,
                       checkpoint_dir=fault.checkpoint, resume=fault.resume)
-    print(format_table2(rows, title=f"Table 2, configuration ({args.config})"))
+    print(format_table2(rows, title=f"Table 2, configuration ({spec.config})"))
     print()
     print(format_error_summary(error_summary(rows)))
     return 0
@@ -207,12 +216,12 @@ def _cmd_table3(args: argparse.Namespace) -> int:
             format_config_sweep,
             run_config_sweep,
         )
-        rows = run_config_sweep({"I": CONFIG_I, "II": CONFIG_II})
+        rows = run_config_sweep(CONFIGS)
         print(format_config_sweep(rows))
         return 0
-    config = _config(args.config)
+    stats = _spec(args).stats
     fault = _mc_fault_args(args)
-    rows = run_table3(config, n_trials=args.trials, seed=args.seed,
+    rows = run_table3(stats, n_trials=args.trials, seed=args.seed,
                       mc_mode=args.mc_mode, shards=args.shards,
                       workers=args.workers, engine=args.engine,
                       profile=args.profile, retry=fault.retry,
@@ -223,8 +232,8 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def _cmd_errors(args: argparse.Namespace) -> int:
-    for label in ("I", "II"):
-        rows = run_table2(_config(label), n_trials=args.trials,
+    for label, stats in CONFIGS.items():
+        rows = run_table2(stats, n_trials=args.trials,
                           seed=args.seed)
         print(format_error_summary(
             error_summary(rows),
@@ -279,7 +288,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_slack(args: argparse.Namespace) -> int:
     from repro.core.slack import compute_slacks, slack_histogram
 
-    netlist = _load_circuit(args.circuit)
+    netlist = load_circuit(args.circuit)
     result = compute_slacks(netlist, clock_period=args.clock)
     print(f"{netlist.name}: worst slack {result.worst_slack:+.3f} "
           f"at clock {args.clock:g}")
@@ -301,7 +310,7 @@ def _cmd_testability(args: argparse.Namespace) -> int:
         random_pattern_coverage,
     )
 
-    netlist = _load_circuit(args.circuit)
+    netlist = load_circuit(args.circuit)
     cop = compute_cop(netlist, args.probability)
     print(f"{netlist.name}: COP testability at launch P(1) = "
           f"{args.probability:g}")
@@ -329,31 +338,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     report = run_conformance(seed=args.seed, n_random=args.random,
                              benches=tuple(args.benches.split(",")),
-                             trials=args.trials, config=_config(args.config))
+                             trials=args.trials, config=_spec(args).stats)
+    if args.json != "-":
+        print(report.render())
     if args.json:
-        Path(args.json).write_text(report.to_json())
-    print(report.render())
-    if args.json:
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_json())
     return 0 if report.passed else 1
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.spsta import MixtureAlgebra, MomentAlgebra
     from repro.opt import optimize_spsta
 
-    netlist = _load_circuit(args.circuit)
-    algebra = (MixtureAlgebra() if args.algebra == "mixture"
-               else MomentAlgebra())
+    spec = _spec(args)
+    netlist = load_circuit(args.circuit)
     result = optimize_spsta(
         netlist, args.clock_period, metric=args.metric,
         k_sigma=args.k_sigma, target_yield=args.target_yield,
         max_area=args.max_area, size_step=args.size_step,
         max_size=args.max_size, base_delay=args.base_delay,
-        delay_sigma=args.delay_sigma, stats=_config(args.config),
-        algebra=algebra, max_iterations=args.max_iterations,
+        delay_sigma=args.delay_sigma, stats=spec.stats,
+        algebra=spec.algebra.build(), max_iterations=args.max_iterations,
         anneal=args.anneal, anneal_moves=args.anneal_moves,
         rng=np.random.default_rng(args.seed),
         mc_validate=args.mc_validate, verify_moves=args.verify_moves,
@@ -422,22 +428,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                        "recomputed": m.recomputed}
                       for m in result.moves],
         }
-        text = json.dumps(payload, indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text)
-            print(f"wrote {args.json}")
+        _write_json(args.json, json.dumps(payload, indent=2))
     return 0
-
-
-def _parse_grid_spec(spec: str):
-    from repro.stats.grid import parse_grid_spec
-
-    try:
-        return parse_grid_spec(spec)
-    except ValueError as exc:
-        raise SystemExit(f"--grid: {exc}")
 
 
 def _parse_corner_list(spec: str):
@@ -477,8 +469,9 @@ def _parse_derate_spec(spec: str):
         raise SystemExit(f"bad --derate-grid {spec!r}: {exc}")
 
 
-def _sweep_scenarios(args: argparse.Namespace):
-    """Scenario list from ``--scenarios FILE`` or the corner flags."""
+def _sweep_scenarios(args: argparse.Namespace, stats: InputStats):
+    """Scenario list from ``--scenarios FILE`` or the corner flags; a
+    spec file's ``config`` key overrides ``--config``."""
     import json
 
     from repro.core.corners import Corner
@@ -495,7 +488,11 @@ def _sweep_scenarios(args: argparse.Namespace):
             spec = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise SystemExit(f"bad scenario spec {path}: {exc}")
-        config = _config(spec.get("config", args.config))
+        if "config" in spec:
+            try:
+                stats = decode_spec(spec["config"]).stats
+            except SpecError as exc:
+                raise SystemExit(f"bad scenario spec {path}: {exc}")
         corners = []
         for entry in spec.get("corners", ()):
             try:
@@ -519,8 +516,7 @@ def _sweep_scenarios(args: argparse.Namespace):
             raise SystemExit(
                 f"scenario spec {path} defines no corners "
                 f"(need 'corners' and/or 'derate')")
-        return scenarios_from_corners(tuple(corners), stats=config), config
-    config = _config(args.config)
+        return scenarios_from_corners(tuple(corners), stats=stats)
     corners = ()
     if args.corners:
         corners += _parse_corner_list(args.corners)
@@ -529,7 +525,7 @@ def _sweep_scenarios(args: argparse.Namespace):
     if not corners:
         from repro.core.corners import STANDARD_CORNERS
         corners = STANDARD_CORNERS
-    return scenarios_from_corners(corners, stats=config), config
+    return scenarios_from_corners(corners, stats=stats)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -537,19 +533,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.scenario import run_scenario_batch, run_scenarios_looped
-    from repro.core.spsta import GridAlgebra, MixtureAlgebra, MomentAlgebra
 
-    netlist = _load_circuit(args.circuit)
-    scenarios, config = _sweep_scenarios(args)
-    grid = None
-    if args.algebra == "grid":
-        grid = _parse_grid_spec(args.grid)
-        algebra = GridAlgebra(grid)
-    elif args.algebra == "mixture":
-        algebra = MixtureAlgebra()
-    else:
-        algebra = MomentAlgebra()
-    sweep = run_scenario_batch(netlist, scenarios, algebra, keep=args.keep)
+    spec = _spec(args)
+    netlist = load_circuit(args.circuit)
+    scenarios = _sweep_scenarios(args, spec.stats)
+    sweep = run_scenario_batch(netlist, scenarios, spec.algebra.build(),
+                               keep=args.keep)
 
     report = {
         "circuit": netlist.name,
@@ -560,6 +549,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "execute_seconds": sweep.execute_seconds,
         "scenarios": [],
     }
+    grid = spec.algebra.time_grid
     if grid is not None:
         report["grid"] = {"start": grid.start, "stop": grid.stop,
                           "n": grid.n}
@@ -576,21 +566,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         report["scenarios"].append({"name": scenario.name, "worst": worst})
     if args.compare_looped:
         t0 = time.perf_counter()
-        run_scenarios_looped(netlist, scenarios,
-                             (lambda: GridAlgebra(grid)) if grid is not None
-                             else type(algebra))
+        run_scenarios_looped(netlist, scenarios, spec.algebra.build)
         looped = time.perf_counter() - t0
         batched = sweep.compile_seconds + sweep.execute_seconds
         report["looped_seconds"] = looped
         report["speedup"] = looped / batched if batched > 0 else float("inf")
 
     if args.json:
-        text = json.dumps(report, indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n")
-            print(f"wrote {args.json}")
+        _write_json(args.json, json.dumps(report, indent=2))
     if args.json != "-":
         print(f"{netlist.name}: {len(scenarios)} scenarios "
               f"({args.algebra} algebra) compiled in "
@@ -617,26 +600,17 @@ def _cmd_hier(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from repro.core.spsta import run_spsta
-    from repro.hier import AlgebraSpec, InterfaceModelStore, run_hier
+    from repro.hier import InterfaceModelStore, run_hier
 
-    netlist = _load_circuit(args.circuit)
-    config = _config(args.config)
-    grid = None
-    if args.algebra == "grid":
-        grid = _parse_grid_spec(args.grid)
-        spec = AlgebraSpec.grid(grid)
-    elif args.algebra == "mixture":
-        spec = AlgebraSpec.mixture()
-    else:
-        spec = AlgebraSpec.moment()
+    spec = _spec(args)
+    netlist = load_circuit(args.circuit)
     store = InterfaceModelStore(args.cache) if args.cache else None
     retry = (RetryPolicy(max_attempts=args.retries + 1)
              if args.retries else None)
     profile = SpstaProfile() if args.profile else None
 
     t0 = time.perf_counter()
-    run = run_hier(netlist, config, algebra_spec=spec,
+    run = run_hier(netlist, spec.stats, algebra_spec=spec.algebra,
                    n_regions=args.partitions, workers=args.workers,
                    keep=args.keep, store=store, retry=retry,
                    deadline=args.deadline, profile=profile)
@@ -676,12 +650,13 @@ def _cmd_hier(args: argparse.Namespace) -> int:
             for net, direction, p, mean, std
             in run.endpoint_rows(netlist)],
     }
+    grid = spec.algebra.time_grid
     if grid is not None:
         report["grid"] = {"start": grid.start, "stop": grid.stop,
                           "n": grid.n}
     if args.compare_flat:
         t0 = time.perf_counter()
-        flat = run_spsta(netlist, config, algebra=spec.build())
+        flat = run_spsta(netlist, spec.stats, algebra=spec.algebra.build())
         flat_seconds = time.perf_counter() - t0
         worst = {"probability": 0.0, "mean": 0.0, "std": 0.0}
         for net, direction, p, mean, std in run.endpoint_rows(netlist):
@@ -697,12 +672,7 @@ def _cmd_hier(args: argparse.Namespace) -> int:
             "max_endpoint_delta": worst}
 
     if args.json:
-        text = json.dumps(report, indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n")
-            print(f"wrote {args.json}")
+        _write_json(args.json, json.dumps(report, indent=2))
     if args.json != "-":
         print(partition.summary())
         for region_report in run.reports:
@@ -746,17 +716,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     baseline = (load_baseline(args.baseline) if args.baseline
                 else frozenset())
+    # lint has --grid (the SP303 coverage prediction) but no --algebra.
+    spec = _spec(args, algebra="grid" if args.grid else None)
     try:
-        netlist = _load_circuit(args.circuit)
+        netlist = load_circuit(args.circuit)
     except NetlistError as error:
         report = report_from_error(args.circuit, error, baseline)
     else:
         config = LintConfig(
-            input_stats=_config(args.config),
+            input_stats=spec.stats,
             trials=args.trials,
             max_parity_fanin=args.max_parity_fanin,
             n_scenarios=args.scenarios,
-            grid=_parse_grid_spec(args.grid) if args.grid else None,
+            grid=spec.algebra.time_grid,
             n_partitions=args.partitions,
             n_workers=args.lint_workers,
             clock_period=args.clock_period,
@@ -767,11 +739,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         write_baseline(report, args.write_baseline)
         print(f"wrote baseline {args.write_baseline}")
     if args.json:
-        if args.json == "-":
-            print(report.to_json())
-        else:
-            Path(args.json).write_text(report.to_json() + "\n")
-            print(f"wrote {args.json}")
+        _write_json(args.json, report.to_json())
     if args.json != "-":
         print(report.render())
     if args.fail_on == "never":
@@ -784,9 +752,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
     from repro.bounds import compute_bounds
 
-    netlist = _load_circuit(args.circuit)
+    stats = _spec(args).stats
+    netlist = load_circuit(args.circuit)
     result = compute_bounds(
-        netlist, stats=_config(args.config), k_sigma=args.k_sigma,
+        netlist, stats=stats, k_sigma=args.k_sigma,
         clock_period=args.clock_period,
         max_cone_inputs=args.max_cone_inputs,
         max_bdd_nodes=args.max_bdd_nodes)
@@ -816,21 +785,17 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
               f"[{lo:.4f}, {hi:.4f}], {len(never)} endpoints and "
               f"{len(pruned)} gates certified non-critical")
     if args.json:
-        text = json.dumps(result.to_dict(), indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n")
-            print(f"wrote {args.json}")
+        _write_json(args.json, json.dumps(result.to_dict(), indent=2))
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.report import generate_report
 
-    netlist = _load_circuit(args.circuit)
+    stats = _spec(args).stats
+    netlist = load_circuit(args.circuit)
     report = generate_report(netlist, clock_period=args.clock,
-                             stats=_config(args.config),
+                             stats=stats,
                              n_paths=args.paths)
     print(report.render(max_endpoints=args.endpoints))
     return 0
@@ -846,14 +811,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.serve.daemon import _SessionLog
 
-    if args.canary:
-        passed, rendered = run_canary(trials=args.canary_trials)
-        print(rendered, file=sys.stderr)
-        if not passed:
-            print("canary conformance check FAILED; refusing to serve",
-                  file=sys.stderr)
-            return 1
-        print("canary conformance check passed", file=sys.stderr)
     server = Server(ServeOptions(
         fail_on=args.fail_on,
         cache_entries=args.cache_entries,
@@ -862,6 +819,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_config=args.config,
         default_algebra=args.algebra,
         default_grid=args.grid))
+    if args.canary:
+        passed, rendered = run_canary(trials=args.canary_trials)
+        print(rendered, file=sys.stderr)
+        if not passed:
+            print("canary conformance check FAILED; refusing to serve",
+                  file=sys.stderr)
+            return 1
+        print("canary conformance check passed", file=sys.stderr)
     if args.session_log:
         server.session_log = _SessionLog(Path(args.session_log))
     if args.http is not None:
@@ -872,7 +837,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = circuit_stats(_load_circuit(args.circuit))
+    stats = circuit_stats(load_circuit(args.circuit))
     print(f"{stats.name}: {stats.n_inputs} PI, {stats.n_outputs} PO, "
           f"{stats.n_dffs} DFF, {stats.n_gates} gates, "
           f"depth {stats.depth}, max fan-in {stats.max_fanin}")
@@ -912,6 +877,25 @@ def build_parser() -> argparse.ArgumentParser:
                               "budget and merge what completed (stream "
                               "mode; partial runs report widened errors)")
 
+    def add_spec_args(cmd: argparse.ArgumentParser,
+                      algebras: Collection[str] = ()) -> None:
+        """The analysis-spec options (repro.spec): --config, plus
+        --algebra (and --grid, if grid is among ``algebras``)."""
+        cmd.add_argument("--config", default=DEFAULT_CONFIG,
+                         help="input statistics configuration: I or II")
+        if algebras:
+            cmd.add_argument("--algebra", choices=tuple(algebras),
+                             default=DEFAULT_ALGEBRA,
+                             help="arrival-time algebra")
+        if "grid" in algebras:
+            cmd.add_argument("--grid", default=DEFAULT_GRID,
+                             help="TimeGrid as START:STOP:N for "
+                                  "--algebra grid")
+
+    def add_json_arg(cmd: argparse.ArgumentParser) -> None:
+        cmd.add_argument("--json", help="write the JSON report to this "
+                                        "path ('-' for stdout)")
+
     def add_spsta_engine_args(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--engine", choices=("fast", "naive"),
                          default="fast",
@@ -924,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run all analyzers on a circuit")
     analyze.add_argument("circuit", help="benchmark name or .bench path")
-    analyze.add_argument("--config", default="I", help="input stats: I or II")
+    add_spec_args(analyze)
     analyze.add_argument("--trials", type=int, default=10_000,
                          help="Monte Carlo trials (0 disables MC)")
     analyze.add_argument("--seed", type=int, default=0)
@@ -948,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="static circuit & configuration analysis (docs/linting.md)")
     lint.add_argument("circuit", help="benchmark name or .bench path")
-    lint.add_argument("--config", default="I", help="input stats: I or II")
+    add_spec_args(lint)
     lint.add_argument("--trials", type=int, default=10_000,
                       help="Monte Carlo trial count the SP203 cost "
                            "estimate prices")
@@ -972,9 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="clock period for the SP404/SP405 bounds "
                            "rules (static yield bounds and the "
                            "non-critical-cone threshold)")
-    lint.add_argument("--json",
-                      help="write the JSON report to this path ('-' for "
-                           "stdout)")
+    add_json_arg(lint)
     lint.add_argument("--fail-on", choices=("error", "warning", "never"),
                       default="error",
                       help="exit nonzero at this severity or worse "
@@ -991,14 +973,14 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(func=_cmd_lint)
 
     table2 = sub.add_parser("table2", help="regenerate paper Table 2")
-    table2.add_argument("--config", default="I")
+    add_spec_args(table2)
     table2.add_argument("--trials", type=int, default=10_000)
     table2.add_argument("--seed", type=int, default=0)
     add_mc_engine_args(table2)
     table2.set_defaults(func=_cmd_table2)
 
     table3 = sub.add_parser("table3", help="regenerate paper Table 3")
-    table3.add_argument("--config", default="I")
+    add_spec_args(table3)
     table3.add_argument("--trials", type=int, default=10_000)
     table3.add_argument("--seed", type=int, default=0)
     table3.add_argument("--config-sweep", action="store_true",
@@ -1019,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="scenario-batched multi-corner sweep (compiled backend)")
     sweep.add_argument("circuit", help="benchmark name or .bench path")
-    sweep.add_argument("--config", default="I", help="input stats: I or II")
+    add_spec_args(sweep, ALGEBRAS)
     sweep.add_argument("--corners",
                        help="comma-separated NAME:SCALE[:SIGMA_SCALE] "
                             "corner list (default: standard corners)")
@@ -1028,13 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scenarios", metavar="FILE",
                        help="JSON scenario spec file (keys: config, "
                             "corners, derate); overrides the corner flags")
-    sweep.add_argument("--algebra",
-                       choices=("moments", "mixture", "grid"),
-                       default="moments",
-                       help="arrival-time algebra (grid enables the "
-                            "vectorized stacked executor)")
-    sweep.add_argument("--grid", default="-8:60:2048",
-                       help="TimeGrid as START:STOP:N for --algebra grid")
     sweep.add_argument("--keep", choices=("all", "endpoints"),
                        default="endpoints",
                        help="grid algebra: retain all nets or trim "
@@ -1042,9 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--compare-looped", action="store_true",
                        help="also time the per-scenario looped fast "
                             "engine and report the speedup")
-    sweep.add_argument("--json",
-                       help="write the JSON report to this path ('-' for "
-                            "stdout)")
+    add_json_arg(sweep)
     sweep.add_argument("--profile", action="store_true",
                        help="print sweep phase timings and work counters")
     sweep.set_defaults(func=_cmd_sweep)
@@ -1054,18 +1027,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="hierarchical partition-parallel analysis with "
              "interface-model caching")
     hier.add_argument("circuit", help="benchmark name or .bench path")
-    hier.add_argument("--config", default="I", help="input stats: I or II")
+    add_spec_args(hier, ALGEBRAS)
     hier.add_argument("--partitions", type=int, default=4,
                       help="target region count (DFF-boundary cut, "
                            "level-band fallback)")
     hier.add_argument("--workers", type=int, default=1,
                       help="process pool size for independent regions "
                            "of one wave")
-    hier.add_argument("--algebra", choices=("moments", "mixture", "grid"),
-                      default="moments",
-                      help="arrival-time algebra per region")
-    hier.add_argument("--grid", default="-8:60:2048",
-                      help="TimeGrid as START:STOP:N for --algebra grid")
     hier.add_argument("--keep", choices=("interface", "all"),
                       default="interface",
                       help="merged nets: boundary/endpoint pins only "
@@ -1083,9 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
     hier.add_argument("--compare-flat", action="store_true",
                       help="also run the flat fast engine and report "
                            "speedup and worst endpoint deltas")
-    hier.add_argument("--json",
-                      help="write the JSON report to this path ('-' for "
-                           "stdout)")
+    add_json_arg(hier)
     hier.add_argument("--profile", action="store_true",
                       help="print merged phase timings and work counters")
     hier.set_defaults(func=_cmd_hier)
@@ -1101,8 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated benchmark names")
     verify.add_argument("--trials", type=int, default=20_000,
                         help="Monte Carlo oracle trials per circuit")
-    verify.add_argument("--config", default="I", help="input stats: I or II")
-    verify.add_argument("--json", help="write the JSON report to this path")
+    add_spec_args(verify)
+    add_json_arg(verify)
     verify.set_defaults(func=_cmd_verify)
 
     optimize = sub.add_parser(
@@ -1129,10 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="nominal unsized gate delay")
     optimize.add_argument("--delay-sigma", type=float, default=0.1,
                           help="unsized gate delay sigma (scales 1/size)")
-    optimize.add_argument("--config", default="I", help="input stats: I/II")
-    optimize.add_argument("--algebra", choices=("moments", "mixture"),
-                          default="moments",
-                          help="SPSTA algebra the cost is computed under")
+    add_spec_args(optimize, ("moments", "mixture"))
     optimize.add_argument("--max-iterations", type=int, default=60,
                           help="greedy move budget")
     optimize.add_argument("--anneal", action="store_true",
@@ -1152,9 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--verify-moves", action="store_true",
                           help="assert every move's incremental state "
                                "bit-exact against a full pass (slow)")
-    optimize.add_argument("--json",
-                          help="write a JSON report to this path "
-                               "('-' for stdout)")
+    add_json_arg(optimize)
     optimize.set_defaults(func=_cmd_optimize)
 
     bounds = sub.add_parser(
@@ -1162,7 +1123,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="certified SP intervals and arrival bound boxes "
              "(one static pass, no simulation)")
     bounds.add_argument("circuit", help="benchmark name or .bench path")
-    bounds.add_argument("--config", default="I", help="input stats: I or II")
+    add_spec_args(bounds)
     bounds.add_argument("--k-sigma", type=float, default=3.0,
                         help="k for the criticality bounds mu + k*sigma")
     bounds.add_argument("--clock-period", type=float, default=None,
@@ -1175,9 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shared node budget for all cone collapses")
     bounds.add_argument("--endpoints", type=int, default=5,
                         help="endpoints to list (widest bound first)")
-    bounds.add_argument("--json",
-                        help="write the JSON report to this path "
-                             "('-' for stdout)")
+    add_json_arg(bounds)
     bounds.set_defaults(func=_cmd_bounds)
 
     report = sub.add_parser("report",
@@ -1185,7 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("circuit")
     report.add_argument("--clock", type=float, required=True,
                         help="clock period")
-    report.add_argument("--config", default="I")
+    add_spec_args(report)
     report.add_argument("--paths", type=int, default=3,
                         help="number of critical paths to print")
     report.add_argument("--endpoints", type=int, default=10,
@@ -1236,15 +1195,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="long-lived incremental analysis daemon (JSON over "
              "stdio, or HTTP with --http)")
-    serve.add_argument("--config", choices=("I", "II"), default="I",
-                       help="default input statistics configuration")
-    serve.add_argument("--algebra",
-                       choices=("moments", "mixture", "grid"),
-                       default="moments",
-                       help="default arrival-time algebra")
-    serve.add_argument("--grid", default="-8:60:2048",
-                       help="default grid spec START:STOP:N for "
-                            "--algebra grid")
+    # The spec options set the defaults of requests that omit them.
+    add_spec_args(serve, ALGEBRAS)
     serve.add_argument("--fail-on", choices=("error", "warning", "never"),
                        default="error",
                        help="lint-preflight severity that rejects a "
@@ -1274,8 +1226,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand.  A circuit that does not load, a spec option
+    that does not decode and a cache directory a store refuses each end
+    the run with a one-line message (exit 1)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CircuitLoadError as exc:
+        raise SystemExit(str(exc))
+    except SpecError as exc:
+        raise SystemExit(f"--{exc.field}: {exc}")
+    except StoreError as exc:
+        raise SystemExit(f"--cache: {exc}")
 
 
 if __name__ == "__main__":

@@ -307,22 +307,6 @@ class IncrementalDivergenceError(ValueError):
     """The incremental state diverged from a fresh full pass."""
 
 
-def fresh_algebra_like(algebra: TopAlgebra[D]) -> TopAlgebra[D]:
-    """A new algebra instance with the same configuration.
-
-    Full-pass conformance reruns need a *fresh* algebra (its own caches
-    and ledger) that is nevertheless configured identically, so both
-    sides compute the same values.
-    """
-    from repro.core.spsta import GridAlgebra, MixtureAlgebra
-    if isinstance(algebra, MixtureAlgebra):
-        return MixtureAlgebra(algebra.max_components)  # type: ignore
-    if isinstance(algebra, GridAlgebra):
-        return GridAlgebra(algebra.grid,  # type: ignore
-                           algebra.conv_method)
-    return type(algebra)()
-
-
 def assert_matches_full(inc: IncrementalSpsta[D],
                         tolerance: float = 0.0) -> int:
     """Check the incremental state against a fresh naive full pass.
@@ -336,9 +320,12 @@ def assert_matches_full(inc: IncrementalSpsta[D],
     (``optimize_spsta(verify_moves=True)``); the sweep-level counterpart
     lives in :mod:`repro.verify.harness`.
     """
+    from repro.spec import AlgebraSpec
+
     full = run_spsta(inc.netlist, inc._stats,
                      inc.effective_delay_model(),
-                     fresh_algebra_like(inc.algebra), engine="naive")
+                     AlgebraSpec.from_algebra(inc.algebra).build(),
+                     engine="naive")
     divergent: List[str] = []
     for net, expected in full.tops.items():
         got = inc.tops.get(net)

@@ -43,6 +43,11 @@ logger = logging.getLogger(__name__)
 MANIFEST_NAME = "manifest.json"
 
 
+class StoreError(RuntimeError):
+    """A directory a store refuses to open: its marker names another
+    format or version, or does not parse (never clobber foreign data)."""
+
+
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
     """Write a uniquely named temp file, fsync it, rename it over
     ``path``: readers never observe a partial file, and concurrent
@@ -110,7 +115,7 @@ def read_header(path: Path) -> Optional[Dict[str, Any]]:
 
 
 def open_store(directory: Path, fmt: str, version: int,
-               error: Type[Exception]) -> None:
+               error: Type[StoreError]) -> None:
     """Create ``directory`` or check its format marker.
 
     A marker of this ``fmt`` and ``version`` opens as is.  A version-1

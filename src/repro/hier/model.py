@@ -31,18 +31,11 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.delay import DelayModel
 from repro.core.inputs import Prob4
-from repro.core.spsta import (
-    GridAlgebra,
-    MixtureAlgebra,
-    MomentAlgebra,
-    NetTops,
-    TopAlgebra,
-    TopFunction,
-    _delay_for,
-)
+from repro.core.spsta import NetTops, TopFunction, _delay_for
 from repro.netlist.core import Netlist
 from repro.netlist.partition import RegionView
-from repro.stats.grid import GridDensity, TimeGrid
+from repro.spec import AlgebraSpec
+from repro.stats.grid import GridDensity
 from repro.stats.mixture import GaussianMixture
 from repro.stats.normal import Normal
 
@@ -53,74 +46,6 @@ PinState = Tuple[Prob4, NetTops]
 #: validation-free :class:`~repro.netlist.partition.RegionView` the
 #: scheduler hashes before deciding whether to materialize at all.
 RegionLike = Union[Netlist, RegionView]
-
-
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Picklable recipe for a TOP algebra (workers rebuild it locally).
-
-    The engine algebras carry unpicklable or heavyweight state (kernel
-    caches, mass ledgers), so the scheduler ships this spec across the
-    process boundary instead and every worker builds a fresh instance.
-    ``token()`` is the canonical cache-key fragment.
-    """
-
-    kind: str                      # "moment" | "mixture" | "grid"
-    max_components: int = 8
-    grid_start: float = 0.0
-    grid_stop: float = 0.0
-    grid_n: int = 0
-    conv_method: str = "direct"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("moment", "mixture", "grid"):
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
-        if self.kind == "grid" and self.grid_n < 2:
-            raise ValueError("grid spec needs grid_n >= 2")
-
-    @classmethod
-    def moment(cls) -> "AlgebraSpec":
-        return cls(kind="moment")
-
-    @classmethod
-    def mixture(cls, max_components: int = 8) -> "AlgebraSpec":
-        return cls(kind="mixture", max_components=max_components)
-
-    @classmethod
-    def grid(cls, grid: TimeGrid,
-             conv_method: str = "direct") -> "AlgebraSpec":
-        return cls(kind="grid", grid_start=grid.start, grid_stop=grid.stop,
-                   grid_n=grid.n, conv_method=conv_method)
-
-    @classmethod
-    def from_algebra(cls, algebra: TopAlgebra) -> "AlgebraSpec":
-        """The spec describing an existing algebra instance."""
-        if isinstance(algebra, GridAlgebra):
-            return cls.grid(algebra.grid, algebra.conv_method)
-        if isinstance(algebra, MixtureAlgebra):
-            return cls.mixture(algebra.max_components)
-        if isinstance(algebra, MomentAlgebra):
-            return cls.moment()
-        raise TypeError(
-            f"no AlgebraSpec for {type(algebra).__name__}; hierarchical "
-            f"analysis supports the moment, mixture, and grid algebras")
-
-    def build(self) -> TopAlgebra:
-        if self.kind == "moment":
-            return MomentAlgebra()
-        if self.kind == "mixture":
-            return MixtureAlgebra(self.max_components)
-        return GridAlgebra(TimeGrid(self.grid_start, self.grid_stop,
-                                    self.grid_n),
-                           conv_method=self.conv_method)
-
-    def token(self) -> str:
-        if self.kind == "moment":
-            return "moment"
-        if self.kind == "mixture":
-            return f"mixture:{self.max_components}"
-        return (f"grid:{self.grid_start!r}:{self.grid_stop!r}:"
-                f"{self.grid_n}:{self.conv_method}")
 
 
 @dataclass

@@ -31,6 +31,7 @@ import pickle
 from typing import Optional, Union
 
 from repro.diskstore import (
+    StoreError,
     discard,
     open_store,
     read_entry,
@@ -45,7 +46,7 @@ MANIFEST_FORMAT = "spsta-hier-cache"
 MANIFEST_VERSION = 2
 
 
-class InterfaceCacheError(RuntimeError):
+class InterfaceCacheError(StoreError):
     """The directory is not a usable interface-model cache (a manifest it
     does not recognise — refuse to clobber foreign data)."""
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Tuple
 
-from repro.netlist.bench import parse_bench_file
+from repro.netlist.bench import BenchParseError, parse_bench_file
 from repro.netlist.core import Netlist
 from repro.netlist.generator import GeneratorProfile, generate_circuit
 
@@ -68,3 +68,25 @@ def benchmark_circuit(name: str) -> Netlist:
         known = ", ".join(benchmark_names())
         raise KeyError(f"unknown benchmark {name!r}; known: {known}")
     return generate_circuit(_profile_for(name))
+
+
+class CircuitLoadError(LookupError):
+    """A circuit name that is neither a benchmark nor a ``.bench`` file
+    that parses; the message says which, and names the bad line."""
+
+
+def load_circuit(name: str) -> Netlist:
+    """A benchmark by name, else the ``.bench`` file at that path (an
+    invalid structure raises the netlist's own ``NetlistError``)."""
+    if name in benchmark_names():
+        return benchmark_circuit(name)
+    path = Path(name)
+    if not path.is_file():
+        raise CircuitLoadError(
+            f"unknown circuit {name!r}: not a benchmark "
+            f"({', '.join(benchmark_names())}) and not a file")
+    try:
+        return parse_bench_file(path)
+    except BenchParseError as exc:
+        raise CircuitLoadError(
+            f"circuit {name!r} does not parse: {exc}") from exc

@@ -4,7 +4,8 @@ Layers:
 
 - :mod:`repro.serve.protocol` — versioned request/response JSON schema,
   validation (dependency-free, :class:`repro.schema.CompiledSchema`),
-  delay/algebra decoding, envelopes;
+  envelopes; request fields decode into one
+  :class:`repro.spec.AnalysisSpec`;
 - :mod:`repro.serve.cache` — LRU result cache with an optional shared
   on-disk tier, keyed by canonical fingerprints;
 - :mod:`repro.serve.daemon` — the :class:`Server` core (sessions, lint

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.diskstore import (
+    StoreError,
     discard,
     open_store,
     read_entry,
@@ -48,7 +49,7 @@ MANIFEST_FORMAT = "spsta-serve-cache"
 MANIFEST_VERSION = 2
 
 
-class ServeCacheError(RuntimeError):
+class ServeCacheError(StoreError):
     """The directory is not a usable serve result cache (a manifest of a
     different format — refuse to clobber foreign data)."""
 

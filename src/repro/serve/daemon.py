@@ -7,11 +7,15 @@ IncrementalSpsta` instance holding every net's four-value probabilities
 and TOP functions — and answers repeated timing queries without
 re-paying full-analysis cost:
 
+- each request's config/algebra/grid/delay fields decode once into a
+  :class:`~repro.spec.AnalysisSpec`; a warm session is keyed by
+  ``(circuit, spec fingerprint)``, so requests that spell one analysis
+  differently share it;
 - a repeated ``analyze``/``query`` is answered from a result cache
   keyed by the **canonical fingerprints** of
-  :mod:`repro.sim.checkpoint` (circuit structure, input statistics,
-  effective delay model, algebra, request shape), so identical queries
-  return bit-identical payloads without touching the engines;
+  :mod:`repro.sim.checkpoint` (circuit structure, analysis spec,
+  effective delay model, request shape), so identical queries return
+  bit-identical payloads without touching the engines;
 - a delay ``edit`` re-times only the dirty fan-out cone via the
   worklist engine (:class:`IncrementalSpsta` — provably bit-exact
   against a fresh full pass), after which new queries compute against
@@ -44,29 +48,20 @@ from pathlib import Path
 import sys
 import threading
 import time
-from typing import IO, Any, Dict, List, Mapping, Optional, Tuple
+from typing import IO, Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.delay import DelayModel
 from repro.core.incremental_spsta import IncrementalSpsta
-from repro.core.inputs import InputStats
-from repro.hier.model import AlgebraSpec
 from repro.lint import LintConfig, NetlistError, Severity, run_lint
-from repro.netlist.bench import (
-    BenchParseError,
-    parse_bench,
-    parse_bench_file,
-)
+from repro.netlist.bench import BenchParseError, parse_bench
+from repro.netlist.benchmarks import CircuitLoadError, load_circuit
 from repro.netlist.core import Netlist
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import (
     DEFAULT_MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
     RequestError,
-    config_stats,
     error_response,
     ok_response,
-    parse_algebra,
-    parse_delay_model,
     validate_request,
 )
 from repro.sim.checkpoint import (
@@ -74,6 +69,14 @@ from repro.sim.checkpoint import (
     delay_fingerprint,
     stats_fingerprint,
     value_fingerprint,
+)
+from repro.spec import (
+    DEFAULT_ALGEBRA,
+    DEFAULT_CONFIG,
+    DEFAULT_GRID,
+    AnalysisSpec,
+    SpecError,
+    decode_spec,
 )
 from repro.stats.normal import Normal
 
@@ -89,24 +92,24 @@ class ServeOptions:
     cache_entries: int = 256        # in-memory LRU cap
     cache_dir: Optional[str] = None  # on-disk result cache (shared)
     max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES
-    default_config: str = "I"
-    default_algebra: str = "moments"
-    default_grid: str = "-8:60:2048"
+    default_config: str = DEFAULT_CONFIG
+    default_algebra: str = DEFAULT_ALGEBRA
+    default_grid: str = DEFAULT_GRID
 
 
 @dataclass
 class CircuitSession:
-    """One circuit's warm state under a fixed (config, algebra, base
-    delay) — the unit the daemon keeps resident between requests."""
+    """One circuit's warm state under a fixed :class:`AnalysisSpec`
+    (config, algebra, base delay) — the unit the daemon keeps resident
+    between requests, keyed by ``(circuit, spec_hash)``."""
 
     circuit: str
     netlist: Netlist
-    config_label: str
-    algebra_spec: AlgebraSpec
+    spec: AnalysisSpec
+    spec_hash: str
     inc: IncrementalSpsta
     circuit_hash: str
     stats_hash: str
-    base_delay_hash: str
     edits: int = 0
     rebuilds: int = 0
     build_seconds: float = 0.0
@@ -153,13 +156,19 @@ class Server:
             raise ValueError(
                 f"fail_on must be error|warning|never, "
                 f"got {self.options.fail_on!r}")
+        # A malformed default is the daemon's own fault: refuse it here
+        # (SpecError names the field), not in every request that omits
+        # it.  The default grid also serves algebra=grid requests.
+        options = self.options
+        decode_spec(options.default_config, options.default_algebra)
+        decode_spec(algebra="grid", grid=options.default_grid)
         self.cache = ResultCache(self.options.cache_entries,
                                  self.options.cache_dir)
-        self._sessions: Dict[Tuple[str, str, str, str], CircuitSession] = {}
+        self._sessions: Dict[Tuple[str, str], CircuitSession] = {}
         self._netlists: Dict[str, Netlist] = {}
         self._lint_passed: Dict[Tuple[str, str], bool] = {}
-        #: canonical delay-spec text -> (base delay model, its fingerprint)
-        self._base_delays: Dict[str, Tuple[DelayModel, str]] = {}
+        #: canonical spec-field text -> (decoded spec, its fingerprint)
+        self._specs: Dict[str, Tuple[AnalysisSpec, str]] = {}
         self.requests_served = 0
         self.shutdown_requested = False
         self.session_log: Optional[_SessionLog] = None
@@ -262,26 +271,23 @@ class Server:
 
     # -- operations ----------------------------------------------------------
 
+    def _read_result(self, session: CircuitSession, report: str,
+                     **body: Any) -> Dict[str, Any]:
+        """An analyze/query payload: the session's spec and fingerprints,
+        then ``body``."""
+        return {"report": report, "version": RESULT_VERSION,
+                "circuit": session.circuit, "config": session.spec.config,
+                "algebra": session.spec.algebra.token(),
+                "fingerprints": self._fingerprints(session), **body}
+
     def _op_analyze(self, session: CircuitSession) -> Dict[str, Any]:
         result = session.inc.result()
-        endpoints: List[Dict[str, Any]] = []
-        for net in session.netlist.endpoints:
-            for direction in ("rise", "fall"):
-                p, mean, std = result.report(net, direction)
-                endpoints.append({
-                    "net": net, "direction": direction,
-                    "probability": _finite(p),
-                    "mean": _finite(mean), "std": _finite(std)})
-        return {
-            "report": "spsta-serve-analyze",
-            "version": RESULT_VERSION,
-            "circuit": session.circuit,
-            "config": session.config_label,
-            "algebra": session.algebra_spec.token(),
-            "fingerprints": self._fingerprints(session),
-            "n_gates": len(session.netlist.gates),
-            "endpoints": endpoints,
-        }
+        return self._read_result(
+            session, "spsta-serve-analyze",
+            n_gates=len(session.netlist.gates),
+            endpoints=[_report_row(result, net, direction)
+                       for net in session.netlist.endpoints
+                       for direction in ("rise", "fall")])
 
     def _op_query(self, session: CircuitSession, net: str,
                   directions: Tuple[str, ...]) -> Dict[str, Any]:
@@ -289,21 +295,10 @@ class Server:
             raise RequestError(f"no net {net!r} in {session.circuit}",
                                "unknown-gate")
         result = session.inc.result()
-        reports = []
-        for direction in directions:
-            p, mean, std = result.report(net, direction)
-            reports.append({"net": net, "direction": direction,
-                            "probability": _finite(p),
-                            "mean": _finite(mean), "std": _finite(std)})
-        return {
-            "report": "spsta-serve-query",
-            "version": RESULT_VERSION,
-            "circuit": session.circuit,
-            "config": session.config_label,
-            "algebra": session.algebra_spec.token(),
-            "fingerprints": self._fingerprints(session),
-            "reports": reports,
-        }
+        return self._read_result(
+            session, "spsta-serve-query",
+            reports=[_report_row(result, net, direction)
+                     for direction in directions])
 
     def _op_edit(self, request: Dict[str, Any]) -> Dict[str, Any]:
         bench = request.get("bench")
@@ -408,8 +403,8 @@ class Server:
             "uptime_seconds": time.monotonic() - self._started,
             "requests_served": self.requests_served,
             "sessions": [
-                {"circuit": s.circuit, "config": s.config_label,
-                 "algebra": s.algebra_spec.token(),
+                {"circuit": s.circuit, "config": s.spec.config,
+                 "algebra": s.spec.algebra.token(),
                  "gates": len(s.netlist.gates),
                  "edits": s.edits, "rebuilds": s.rebuilds,
                  "recomputed_gates": s.recomputed_gates,
@@ -434,78 +429,69 @@ class Server:
         circuit = request.get("circuit")
         if not circuit:
             raise RequestError(f"{request['op']} needs a 'circuit'")
-        config_label = request.get("config", self.options.default_config)
-        algebra_spec = parse_algebra(
-            request.get("algebra", self.options.default_algebra),
-            request.get("grid", self.options.default_grid))
-        base_delay, base_delay_hash = self._base_delay(request.get("delay"))
-        key = (circuit, config_label, algebra_spec.token(),
-               base_delay_hash)
-        session = self._sessions.get(key)
+        spec, spec_hash = self._spec_for(request)
+        session = self._sessions.get((circuit, spec_hash))
         if session is not None:
             return session
         netlist = self._load_netlist(circuit)
-        stats = config_stats(config_label)
-        self._lint_preflight(circuit, netlist, config_label, stats)
+        self._lint_preflight(circuit, netlist, spec)
         t0 = time.perf_counter()
-        inc = IncrementalSpsta(netlist, stats, base_delay,
-                               algebra_spec.build())
+        inc = IncrementalSpsta(netlist, spec.stats, spec.delay,
+                               spec.algebra.build())
         session = CircuitSession(
-            circuit=circuit, netlist=netlist, config_label=config_label,
-            algebra_spec=algebra_spec, inc=inc,
+            circuit=circuit, netlist=netlist, spec=spec,
+            spec_hash=spec_hash, inc=inc,
             circuit_hash=circuit_fingerprint(netlist),
-            stats_hash=stats_fingerprint(stats),
-            base_delay_hash=base_delay_hash,
+            stats_hash=stats_fingerprint(spec.stats),
             build_seconds=time.perf_counter() - t0)
-        self._sessions[key] = session
+        self._sessions[(circuit, spec_hash)] = session
         return session
 
-    def _base_delay(self, spec: Optional[Mapping[str, Any]]
-                    ) -> Tuple[DelayModel, str]:
-        """The request's base delay model and its fingerprint, parsed
-        and hashed once per distinct spec."""
-        text = json.dumps(spec, sort_keys=True)
-        memo = self._base_delays.get(text)
+    def _spec_for(self, request: Mapping[str, Any]
+                  ) -> Tuple[AnalysisSpec, str]:
+        """The analysis a request names and its fingerprint, decoded
+        once per distinct spelling of the spec fields."""
+        fields = (request.get("config"), request.get("algebra"),
+                  request.get("grid"), request.get("delay"))
+        text = json.dumps(fields, sort_keys=True)
+        memo = self._specs.get(text)
         if memo is None:
-            model = parse_delay_model(spec)
-            memo = self._base_delays[text] = (model,
-                                              delay_fingerprint(model))
+            config, algebra, grid, delay = fields
+            options = self.options
+            try:
+                spec = decode_spec(
+                    options.default_config if config is None else config,
+                    options.default_algebra if algebra is None else algebra,
+                    options.default_grid if grid is None else grid, delay)
+            except SpecError as exc:
+                raise RequestError(str(exc)) from exc
+            memo = self._specs[text] = (spec, spec.fingerprint())
         return memo
 
     def _load_netlist(self, circuit: str) -> Netlist:
         cached = self._netlists.get(circuit)
         if cached is not None:
             return cached
-        from repro.netlist.benchmarks import (
-            benchmark_circuit,
-            benchmark_names,
-        )
-        if circuit in benchmark_names():
-            netlist = benchmark_circuit(circuit)
-        else:
-            path = Path(circuit)
-            if not path.exists():
-                raise RequestError(
-                    f"unknown circuit {circuit!r}: not a benchmark and "
-                    f"not a file", "unknown-circuit")
-            try:
-                netlist = parse_bench_file(path)
-            except (BenchParseError, NetlistError) as exc:
-                raise RequestError(
-                    f"circuit {circuit!r} does not parse: {exc}",
-                    "unknown-circuit") from exc
+        try:
+            netlist = load_circuit(circuit)
+        except CircuitLoadError as exc:
+            raise RequestError(str(exc), "unknown-circuit") from exc
+        except NetlistError as exc:
+            raise RequestError(
+                f"circuit {circuit!r} does not parse: {exc}",
+                "unknown-circuit") from exc
         self._netlists[circuit] = netlist
         return netlist
 
     def _lint_preflight(self, circuit: str, netlist: Netlist,
-                        config_label: str, stats: InputStats) -> None:
+                        spec: AnalysisSpec) -> None:
         """``spsta lint`` as request validation (the PR 4 preflight)."""
         if self.options.fail_on == "never":
             return
-        lint_key = (circuit, config_label)
+        lint_key = (circuit, spec.config)
         if self._lint_passed.get(lint_key):
             return
-        report = run_lint(netlist, LintConfig(input_stats=stats))
+        report = run_lint(netlist, LintConfig(input_stats=spec.stats))
         threshold = Severity.parse(self.options.fail_on)
         if not report.passed(threshold):
             error = RequestError(
@@ -530,18 +516,17 @@ class Server:
                    extra: Tuple[Any, ...]) -> str:
         """The fingerprint key identical queries collide on.
 
-        Components are exactly the checkpoint-manifest fingerprints
-        (circuit structure, stats, *effective* delay, algebra) plus the
-        request shape — so a key hit is a semantic hit and an edited
-        session keys differently until the edit is reverted.
+        Components are the circuit structure, the session's analysis
+        spec, the *effective* delay state and the request shape — so a
+        key hit is a semantic hit, requests that spell one spec
+        differently share keys, and an edited session keys differently
+        until the edit is reverted.
         """
         return value_fingerprint((
             ("protocol", PROTOCOL_VERSION),
             ("circuit", session.circuit_hash),
-            ("stats", session.stats_hash),
+            ("spec", session.spec_hash),
             ("delay", session.delay_hash()),
-            ("algebra", session.algebra_spec.token()),
-            ("config", session.config_label),
             ("request", extra),
         ))
 
@@ -549,7 +534,13 @@ class Server:
         return {"circuit": session.circuit_hash,
                 "stats": session.stats_hash,
                 "delay": session.delay_hash(),
-                "algebra": session.algebra_spec.token()}
+                "algebra": session.spec.algebra.token()}
+
+
+def _report_row(result: Any, net: str, direction: str) -> Dict[str, Any]:
+    p, mean, std = result.report(net, direction)
+    return {"net": net, "direction": direction, "probability": _finite(p),
+            "mean": _finite(mean), "std": _finite(std)}
 
 
 def _finite(value: float) -> Optional[float]:

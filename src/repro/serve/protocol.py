@@ -44,18 +44,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.delay import (
-    DelayModel,
-    MisDelay,
-    NormalDelay,
-    PerGateDelay,
-    UnitDelay,
-)
-from repro.core.inputs import CONFIG_I, CONFIG_II, InputStats
-from repro.core.nldm import FrozenDelays
-from repro.hier.model import AlgebraSpec
 from repro.schema import CompiledSchema, SchemaError
-from repro.stats.grid import TimeGrid, parse_grid_spec
+from repro.spec import ALGEBRAS, CONFIGS, DELAY_KINDS, decode_algebra
 
 #: Bump on breaking protocol changes (mirrors the lint-report convention).
 PROTOCOL_VERSION = 1
@@ -67,10 +57,6 @@ DEFAULT_MAX_REQUEST_BYTES = 1 << 20
 OPERATIONS = ("analyze", "query", "edit", "invalidate", "status",
               "shutdown")
 
-ALGEBRAS = ("moments", "mixture", "grid")
-
-DELAY_KINDS = ("unit", "normal", "mis", "pergate", "frozen")
-
 #: JSON-Schema (draft 7 subset) of one request envelope.
 REQUEST_SCHEMA: Dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -81,7 +67,7 @@ REQUEST_SCHEMA: Dict[str, Any] = {
         "id": {"type": ["string", "number", "null"]},
         "op": {"enum": list(OPERATIONS)},
         "circuit": {"type": "string", "minLength": 1},
-        "config": {"enum": ["I", "II"]},
+        "config": {"enum": list(CONFIGS)},
         "algebra": {"enum": list(ALGEBRAS)},
         "grid": {"type": "string", "pattern": r"^[^:]+:[^:]+:\d+$"},
         "delay": {
@@ -115,6 +101,9 @@ REQUEST_SCHEMA: Dict[str, Any] = {
 
 _REQUEST_VALIDATOR = CompiledSchema(REQUEST_SCHEMA)
 
+#: The ``algebra``/``grid`` field decoder under its protocol name.
+parse_algebra = decode_algebra
+
 
 class RequestError(ValueError):
     """A request that must be refused, carrying its protocol error code."""
@@ -142,81 +131,6 @@ def validate_request(payload: object) -> Dict[str, Any]:
     except SchemaError as exc:
         raise RequestError(f"schema violation: {exc.message}") from exc
     return payload
-
-
-# -- request-field decoding --------------------------------------------------
-
-
-def config_stats(label: str) -> InputStats:
-    """The named input-statistics configuration (paper part I or II)."""
-    if label == "I":
-        return CONFIG_I
-    if label == "II":
-        return CONFIG_II
-    raise RequestError(f"config must be 'I' or 'II', got {label!r}")
-
-
-def parse_grid(spec: str) -> TimeGrid:
-    """``START:STOP:N`` -> :class:`TimeGrid` (the CLI's --grid syntax)."""
-    try:
-        return parse_grid_spec(spec)
-    except ValueError as exc:
-        raise RequestError(str(exc)) from exc
-
-
-def parse_algebra(name: str, grid: Optional[str]) -> AlgebraSpec:
-    """(algebra name, optional grid spec) -> picklable AlgebraSpec."""
-    if name == "moments":
-        return AlgebraSpec.moment()
-    if name == "mixture":
-        return AlgebraSpec.mixture()
-    if name == "grid":
-        return AlgebraSpec.grid(parse_grid(grid if grid is not None
-                                           else "-8:60:2048"))
-    raise RequestError(f"algebra must be one of {ALGEBRAS}, got {name!r}")
-
-
-def parse_delay_model(spec: Optional[Mapping[str, Any]]) -> DelayModel:
-    """A delay-model spec object -> the bundled model it names.
-
-    ``None`` means the paper default :class:`UnitDelay`.  Mapping-bearing
-    models (``frozen``) are safe cache citizens: the fingerprint layer
-    hashes their mappings in sorted-key order
-    (:func:`repro.sim.checkpoint.delay_fingerprint`).
-    """
-    if spec is None:
-        return UnitDelay()
-    kind = spec.get("kind")
-    try:
-        if kind == "unit":
-            return UnitDelay(float(spec.get("value", 1.0)))
-        if kind == "normal":
-            return NormalDelay(float(spec.get("mu", 1.0)),
-                               float(spec.get("sigma", 0.1)))
-        if kind == "mis":
-            return MisDelay(float(spec.get("base", 1.0)),
-                            float(spec.get("speedup", 0.15)),
-                            float(spec.get("floor", 0.3)),
-                            float(spec.get("sigma", 0.0)))
-        if kind == "pergate":
-            return PerGateDelay(float(spec.get("base", 1.0)),
-                                float(spec.get("spread", 0.2)))
-        if kind == "frozen":
-            delays = spec.get("delays")
-            if not isinstance(delays, Mapping) or not delays:
-                raise RequestError(
-                    "delay.kind 'frozen' needs a non-empty "
-                    "'delays' mapping of gate -> delay")
-            return FrozenDelays(
-                {str(gate): float(value)
-                 for gate, value in delays.items()},
-                float(spec.get("relative_sigma", 0.0)))
-    except RequestError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise RequestError(f"bad delay spec {dict(spec)!r}: {exc}") from exc
-    raise RequestError(
-        f"delay.kind must be one of {DELAY_KINDS}, got {kind!r}")
 
 
 # -- response envelopes ------------------------------------------------------

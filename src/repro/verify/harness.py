@@ -33,6 +33,7 @@ CI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 import json
 import math
 import time
@@ -55,23 +56,19 @@ from repro.core.inputs import CONFIG_I, InputStats
 from repro.core.profiling import SpstaProfile
 from repro.core.incremental_spsta import IncrementalSpsta
 from repro.core.scenario import Scenario, run_scenario_batch
-from repro.core.spsta import (
-    GridAlgebra,
-    MixtureAlgebra,
-    MomentAlgebra,
-    SpstaResult,
-    run_spsta,
-)
-from repro.hier import AlgebraSpec, run_hier
+from repro.core.spsta import SpstaResult, run_spsta
+from repro.hier import run_hier
 from repro.lint.engine import LintConfig, preflight as lint_preflight
 from repro.netlist.analysis import net_depths
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.core import Netlist
 from repro.netlist.generator import GeneratorProfile, generate_circuit
+from repro.power.density import build_net_bdds
 from repro.sim.montecarlo import run_monte_carlo
 from repro.sim.parallel import RetryPolicy
 from repro.sim.reference import NetState, simulate_trial
 from repro.sim.sampler import LaunchSample, sample_launch_points
+from repro.spec import AlgebraSpec
 from repro.stats.grid import TimeGrid
 from repro.stats.normal import Normal
 from repro.bounds import (
@@ -80,7 +77,7 @@ from repro.bounds import (
     hoeffding_slack,
     sample_signal_probabilities,
 )
-from repro.logic.bdd import BDDManager
+from repro.logic.bdd import FALSE, TRUE, BDDManager
 from repro.logic.fourvalue import final_bit, from_bits, init_bit
 from repro.verify.policies import (
     CONTAINMENT_POLICIES,
@@ -351,30 +348,33 @@ def _compare_pair(policy: TolerancePolicy, nets: Sequence[str],
 
 def _containment_check(policy: ContainmentPolicy,
                        intervals: Dict[str, Interval],
-                       reference: Dict[str, float],
+                       reference: Mapping[str, Union[float, Fraction]],
                        slack: float) -> PairCheck:
     """Assert every reference value lands inside its certified interval
     (widened by ``slack``).  The recorded delta is the escape distance —
     0 for every contained net — so ``max_delta`` doubles as an audit of
-    how close the references come to the certified edges."""
+    how close the references come to the certified edges.  Distances
+    are computed in exact rational arithmetic, so an escape smaller than
+    the float spacing at the interval's end still counts."""
     check = PairCheck(pair=policy.pair, n_nets=len(reference),
                       n_comparisons=0,
                       max_delta={"probability": 0.0, "mean": 0.0,
                                  "std": 0.0})
+    margin = Fraction(slack)
     for net, value in reference.items():
         interval = intervals[net]
-        escape = max(interval.lo - slack - value,
-                     value - interval.hi - slack, 0.0)
+        escape = max(Fraction(interval.lo) - margin - Fraction(value),
+                     Fraction(value) - Fraction(interval.hi) - margin, 0)
         check.n_comparisons += 1
         check.max_delta["probability"] = max(
-            check.max_delta["probability"], escape)
-        if escape > 0.0:
+            check.max_delta["probability"], float(escape))
+        if escape > 0:
             nearest = (interval.lo if value < interval.lo
                        else interval.hi)
             check.divergences.append(Divergence(
                 pair=policy.pair, net=net, direction="value",
-                metric="probability", value_a=value, value_b=nearest,
-                delta=escape, tolerance=slack))
+                metric="probability", value_a=float(value),
+                value_b=nearest, delta=float(escape), tolerance=slack))
     return check
 
 
@@ -386,23 +386,34 @@ _CONTAINMENT_BDD_NODES = 1 << 20
 
 def _exact_signal_probabilities(
         netlist: Netlist, launch: Union[float, Mapping[str, float]],
-        ) -> Optional[Dict[str, float]]:
+        ) -> Optional[Dict[str, Fraction]]:
     """Exact per-net SP via one shared global BDD, or None if the node
-    budget is exhausted."""
+    budget is exhausted.
+
+    The Shannon walk runs in rational arithmetic on the float launch
+    values, so each result is the exact probability those launches
+    define — a float walk would round in its own order and could land a
+    few ulps outside a sound interval.
+    """
     manager = BDDManager(max_nodes=_CONTAINMENT_BDD_NODES)
-    funcs: Dict[str, int] = {}
     try:
-        for net in netlist.launch_points:
-            funcs[net] = manager.var(net)
-        for gate in netlist.combinational_gates:
-            funcs[gate.name] = manager.apply_gate(
-                gate.gate_type, [funcs[src] for src in gate.inputs])
+        funcs = build_net_bdds(netlist, manager)
     except MemoryError:
         return None
-    probs = {net: (launch if isinstance(launch, float) else launch[net])
+    probs = {net: Fraction(launch if isinstance(launch, float)
+                           else launch[net])
              for net in netlist.launch_points}
-    return {net: manager.signal_probability(f, probs)
-            for net, f in funcs.items()}
+    memo: Dict[int, Fraction] = {FALSE: Fraction(0), TRUE: Fraction(1)}
+
+    def walk(node: int) -> Fraction:
+        found = memo.get(node)
+        if found is None:
+            level, low, high = manager._nodes[node]
+            p = probs[manager._level_names[level]]
+            found = memo[node] = p * walk(high) + (1 - p) * walk(low)
+        return found
+
+    return {net: walk(f) for net, f in funcs.items()}
 
 
 def _move_schedule(netlist: Netlist) -> List[str]:
@@ -467,16 +478,16 @@ def verify_circuit(netlist: Netlist,
             trials=trials))
     depth = max(net_depths(netlist).values(), default=1)
 
-    algebra_factories = {"moment": MomentAlgebra,
-                         "mixture": MixtureAlgebra,
-                         "grid": lambda: GridAlgebra(grid)}
+    algebra_specs = {"moment": AlgebraSpec.moment(),
+                     "mixture": AlgebraSpec.mixture(),
+                     "grid": AlgebraSpec.grid(grid)}
     runs: Dict[Tuple[str, str], object] = {}
     profiles: Dict[Tuple[str, str], SpstaProfile] = {}
-    for algebra_name, factory in algebra_factories.items():
+    for algebra_name, spec in algebra_specs.items():
         for engine in ("naive", "fast"):
             profile = SpstaProfile()
             runs[(algebra_name, engine)] = run_spsta(
-                netlist, config, delay_model, factory(),
+                netlist, config, delay_model, spec.build(),
                 engine=engine, profile=profile)
             profiles[(algebra_name, engine)] = profile
 
@@ -488,9 +499,9 @@ def verify_circuit(netlist: Netlist,
                  Scenario("derate", config,
                           ScaledDelay(delay_model, Corner("derate", 1.1))))
     batched_runs: Dict[str, SpstaResult] = {}
-    for algebra_name, factory in algebra_factories.items():
+    for algebra_name, spec in algebra_specs.items():
         profile = SpstaProfile()
-        sweep = run_scenario_batch(netlist, scenarios, factory(),
+        sweep = run_scenario_batch(netlist, scenarios, spec.build(),
                                    profile=profile)
         batched_runs[algebra_name] = sweep.result_for("nominal")
         profiles[(algebra_name, "batched")] = profile
@@ -499,9 +510,8 @@ def verify_circuit(netlist: Netlist,
     # every region lands in the merged result and the hier-vs-flat
     # policies compare the complete net set, not just boundaries.
     hier_runs: Dict[str, SpstaResult] = {}
-    for algebra_name, factory in algebra_factories.items():
+    for algebra_name, spec in algebra_specs.items():
         profile = SpstaProfile()
-        spec = AlgebraSpec.from_algebra(factory())
         hier_runs[algebra_name] = run_hier(
             netlist, config, delay_model, spec,
             n_regions=HIER_SWEEP_REGIONS, keep="all",
@@ -517,8 +527,8 @@ def verify_circuit(netlist: Netlist,
     # `optimize_spsta` to trust per-move cone repair.
     incremental_runs: Dict[str, Tuple[SpstaResult, SpstaResult]] = {}
     schedule = _move_schedule(netlist)
-    for algebra_name, factory in algebra_factories.items():
-        inc = IncrementalSpsta(netlist, config, delay_model, factory())
+    for algebra_name, spec in algebra_specs.items():
+        inc = IncrementalSpsta(netlist, config, delay_model, spec.build())
         for i, gate_name in enumerate(schedule):
             inc.set_delay(gate_name, Normal(1.2 + 0.05 * i, 0.03))
         if schedule:
@@ -526,7 +536,7 @@ def verify_circuit(netlist: Netlist,
             inc.set_delay(schedule[0], Normal(2.0, 0.03))
             inc.clear_delay(schedule[0])
         full = run_spsta(netlist, config, inc.effective_delay_model(),
-                         factory(), engine="naive")
+                         spec.build(), engine="naive")
         incremental_runs[algebra_name] = (inc.result(), full)
 
     # Drawing the launch samples up front from the generator the run then
@@ -556,31 +566,22 @@ def verify_circuit(netlist: Netlist,
         "mc": (_mc_stats(mc), mc_nets),
     }
 
+    # Replication pairs, per algebra: (result a, result b) by name.
+    replications = {
+        "fast-vs-naive": lambda name: (runs[(name, "fast")],
+                                       runs[(name, "naive")]),
+        "batched-vs-fast": lambda name: (batched_runs[name],
+                                         runs[(name, "fast")]),
+        "hier-vs-flat": lambda name: (hier_runs[name], runs[(name, "fast")]),
+        "incremental-vs-full": lambda name: incremental_runs[name],
+    }
     checks: List[PairCheck] = []
-    for algebra_name in ("moment", "mixture", "grid"):
-        policy = POLICIES[f"fast-vs-naive/{algebra_name}"]
-        checks.append(_compare_pair(
-            policy, all_nets,
-            _spsta_stats(runs[(algebra_name, "fast")]),
-            _spsta_stats(runs[(algebra_name, "naive")])))
-    for algebra_name in ("moment", "mixture", "grid"):
-        policy = POLICIES[f"batched-vs-fast/{algebra_name}"]
-        checks.append(_compare_pair(
-            policy, all_nets,
-            _spsta_stats(batched_runs[algebra_name]),
-            _spsta_stats(runs[(algebra_name, "fast")])))
-    for algebra_name in ("moment", "mixture", "grid"):
-        policy = POLICIES[f"hier-vs-flat/{algebra_name}"]
-        checks.append(_compare_pair(
-            policy, all_nets,
-            _spsta_stats(hier_runs[algebra_name]),
-            _spsta_stats(runs[(algebra_name, "fast")])))
-    for algebra_name in ("moment", "mixture", "grid"):
-        policy = POLICIES[f"incremental-vs-full/{algebra_name}"]
-        inc_result, full_result = incremental_runs[algebra_name]
-        checks.append(_compare_pair(
-            policy, all_nets,
-            _spsta_stats(inc_result), _spsta_stats(full_result)))
+    for pair, results in replications.items():
+        for algebra_name in algebra_specs:
+            result_a, result_b = results(algebra_name)
+            checks.append(_compare_pair(
+                POLICIES[f"{pair}/{algebra_name}"], all_nets,
+                _spsta_stats(result_a), _spsta_stats(result_b)))
     checks.append(_compare_pair(
         POLICIES["stream-vs-event/mc"], mc_nets, _mc_stats(mc_exact),
         _event_stats(netlist, head, oracle_trials, exact_delays)))

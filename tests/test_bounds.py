@@ -2,11 +2,14 @@
 
 Every test here checks a *containment* claim, not a closeness claim:
 certified intervals must contain the exact / sampled / engine-computed
-reference, with zero slack wherever the arithmetic is exact (dyadic
-launch probabilities, fanout-free circuits) and only the mathematically
-required slack elsewhere (float rounding, Hoeffding half-widths).
+reference, with zero slack against the exact rational signal
+probabilities (the interval ends are rounded outward) and only the
+mathematically required slack elsewhere (Hoeffding half-widths, the
+engines' float results).
 """
 
+from fractions import Fraction
+import itertools
 import math
 
 import numpy as np
@@ -30,11 +33,16 @@ from repro.core.probability import (
     signal_probabilities,
 )
 from repro.core.spsta import MixtureAlgebra, MomentAlgebra, run_spsta
-from repro.logic.gates import GateType
+from repro.logic.gates import GateType, gate_spec
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.core import Gate, Netlist
 from repro.netlist.generator import GeneratorProfile, generate_circuit
-from repro.verify.harness import _exact_signal_probabilities
+from repro.verify.harness import (
+    _containment_check,
+    _exact_signal_probabilities,
+    fuzz_profiles,
+)
+from repro.verify.policies import CONTAINMENT_POLICIES
 
 DYADIC = (0.0, 0.25, 0.5, 0.75, 1.0)
 GATE_TYPES = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
@@ -45,6 +53,19 @@ def _random_circuit(seed, n_gates=22, xor_fraction=0.15):
     return generate_circuit(GeneratorProfile(
         name=f"bounds{seed}", n_inputs=5, n_outputs=3, n_dffs=2,
         n_gates=n_gates, depth=4, seed=seed, xor_fraction=xor_fraction))
+
+
+def _exact_gate_probability(gate_type, probs):
+    """P(y = 1) of one gate in exact rationals, by its truth table."""
+    spec = gate_spec(gate_type)
+    total = Fraction(0)
+    for bits in itertools.product((0, 1), repeat=len(probs)):
+        if spec.eval_bits(bits):
+            weight = Fraction(1)
+            for bit, p in zip(bits, probs):
+                weight *= Fraction(p) if bit else 1 - Fraction(p)
+            total += weight
+    return total
 
 
 def _tree_netlist():
@@ -96,7 +117,22 @@ class TestTransferFunctions:
            probs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
     def test_point_inputs_reproduce_point_propagation(self, gate_type,
                                                       probs):
-        # Width-0 in, width-0 out, bit-identical to the scalar formula.
+        # Width-0 in: the scalar formula's own expressions with each end
+        # rounded outward, so the interval brackets both the point
+        # propagation and the exact rational result, a few ulps wide.
+        out = gate_interval_independent(
+            gate_type, [Interval.point(p) for p in probs])
+        point = gate_signal_probability(gate_type, probs)
+        assert out.lo <= point <= out.hi
+        assert out.contains(_exact_gate_probability(gate_type, probs))
+        assert out.width <= 16 * math.ulp(1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gate_type=st.sampled_from(GATE_TYPES),
+           probs=st.lists(st.sampled_from(DYADIC), min_size=2, max_size=4))
+    def test_exact_point_inputs_stay_points(self, gate_type, probs):
+        # Dyadic inputs make every operation exact: width-0 out,
+        # bit-identical to the scalar formula.
         out = gate_interval_independent(
             gate_type, [Interval.point(p) for p in probs])
         exact = gate_signal_probability(gate_type, probs)
@@ -150,6 +186,22 @@ class TestSpContainment:
                 assert certified.sp[net].contains(value, slack=0.0), \
                     (seed, net, certified.sp[net], value)
 
+    @pytest.mark.parametrize("name", ["s27", "fuzz-5-0"])
+    def test_config_ii_contains_exact_bdd_at_zero_slack(self, name):
+        # CONFIG II's launch probability 0.2 is not dyadic: the sweep's
+        # exact-BDD containment policy must hold at zero slack anyway.
+        netlist = (benchmark_circuit(name) if name == "s27"
+                   else generate_circuit(fuzz_profiles(5, 1)[0]))
+        policy = CONTAINMENT_POLICIES["bounds-vs-bdd/exact"]
+        exact = _exact_signal_probabilities(
+            netlist, CONFIG_II.signal_probability)
+        check = _containment_check(
+            policy, compute_bounds(netlist, stats=CONFIG_II).sp, exact,
+            policy.slack)
+        assert policy.slack == 0.0
+        assert check.n_comparisons == len(netlist.nets)
+        assert not check.divergences, check.divergences[:3]
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.floats(0.01, 0.99))
     def test_float_launches_contain_exact_bdd(self, seed, p):
@@ -163,13 +215,24 @@ class TestSpContainment:
 
     def test_fanout_free_tree_collapses_to_points_bit_identical(self):
         netlist = _tree_netlist()
-        launch = {"a": 0.3, "b": 0.7, "c": 0.5, "d": 0.1, "e": 0.9}
+        launch = {"a": 0.25, "b": 0.75, "c": 0.5, "d": 0.125, "e": 0.875}
         certified = compute_bounds(netlist, launch=launch)
         exact = signal_probabilities(netlist, launch)
         assert set(certified.regimes.values()) == {"independent"}
         for net, iv in certified.sp.items():
             assert iv.is_point, net
             assert iv.lo == exact[net], net     # bit-identical, not approx
+        # Launches that round widen only the ends whose operations
+        # rounded: still a few ulps around the point propagation, and
+        # containing the exact rational value.
+        launch = {"a": 0.3, "b": 0.7, "c": 0.5, "d": 0.1, "e": 0.9}
+        certified = compute_bounds(netlist, launch=launch)
+        point = signal_probabilities(netlist, launch)
+        exact = _exact_signal_probabilities(netlist, launch)
+        for net, iv in certified.sp.items():
+            assert iv.lo <= point[net] <= iv.hi, net
+            assert iv.contains(exact[net]), net
+            assert iv.width <= 16 * math.ulp(1.0), net
 
     def test_intervals_nest_when_launches_tighten(self):
         for seed in range(4):

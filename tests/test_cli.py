@@ -203,3 +203,98 @@ class TestTestabilityCommand:
         assert main(["testability", "s27", "--atpg", "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert "deterministic test set" in out
+
+
+BAD_BENCH = "INPUT(a)\nOUTPUT(b)\nb = FOO(a)\n"
+
+
+class TestAnalysisSpecOptions:
+    def test_option_group_and_serve_request_name_one_spec(self):
+        from repro.cli import _spec
+        from repro.serve import Server
+
+        args = build_parser().parse_args(
+            ["sweep", "s27", "--config", "ii", "--algebra", "grid",
+             "--grid=-4:30:512"])
+        cli_spec = _spec(args)
+        served, fingerprint = Server()._spec_for(
+            {"config": "II", "algebra": "grid", "grid": "-4:30:512"})
+        assert cli_spec == served
+        assert cli_spec.fingerprint() == fingerprint
+
+    def test_every_spec_subcommand_keeps_its_defaults(self):
+        from repro.spec import DEFAULT_GRID
+
+        parser = build_parser()
+        for argv in (["analyze", "s27"], ["lint", "s27"], ["table2"],
+                     ["table3"], ["verify"], ["bounds", "s27"],
+                     ["report", "s27", "--clock", "5"], ["serve"],
+                     ["sweep", "s27"], ["hier", "s27"],
+                     ["optimize", "s27", "--clock-period", "5"]):
+            args = parser.parse_args(argv)
+            assert args.config == "I", argv
+            if argv[0] in ("sweep", "hier", "serve", "optimize"):
+                assert args.algebra == "moments", argv
+            if argv[0] in ("sweep", "hier", "serve"):
+                assert args.grid == DEFAULT_GRID, argv
+        assert parser.parse_args(["lint", "s27"]).grid is None
+
+    def test_serve_refuses_a_bad_default_grid(self):
+        with pytest.raises(SystemExit, match="^--grid: grid must be"):
+            main(["serve", "--grid", "bogus"])
+
+    def test_serve_refuses_a_bad_default_config(self):
+        with pytest.raises(SystemExit, match="^--config: config must be"):
+            main(["serve", "--config", "III"])
+
+
+class TestCircuitLoading:
+    @pytest.mark.parametrize("command", ["analyze", "lint", "stats",
+                                         "bounds"])
+    def test_unparseable_bench_is_one_line(self, command, tmp_path):
+        path = tmp_path / "bad.bench"
+        path.write_text(BAD_BENCH)
+        with pytest.raises(SystemExit) as info:
+            main([command, str(path)])
+        message = str(info.value.code)
+        assert "\n" not in message
+        assert message == (f"circuit {str(path)!r} does not parse: "
+                           f"line 3: unknown gate type 'FOO': 'b = FOO(a)'")
+
+
+class TestStoreOpenErrors:
+    @pytest.mark.parametrize("argv", [["hier", "s27"], ["serve"]])
+    def test_unrecognised_manifest_is_one_line(self, argv, tmp_path):
+        (tmp_path / "manifest.json").write_text("not json")
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--cache", str(tmp_path)])
+        message = str(info.value.code)
+        assert message.startswith("--cache: ") and "\n" not in message
+        assert "refusing to use the directory as a cache" in message
+
+
+class TestJsonWriter:
+    COMMANDS = {
+        "optimize": ["optimize", "s27", "--clock-period", "5",
+                     "--max-iterations", "2"],
+        "sweep": ["sweep", "s27", "--corners", "tt:1.0"],
+        "hier": ["hier", "s27", "--partitions", "2"],
+        "lint": ["lint", "s27"],
+        "bounds": ["bounds", "s27"],
+        "verify": ["verify", "--random", "0", "--benches", "s27",
+                   "--trials", "400"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_json_file_and_stdout(self, command, tmp_path, capsys):
+        import json
+
+        path = tmp_path / f"{command}.json"
+        assert main(self.COMMANDS[command] + ["--json", str(path)]) == 0
+        text = path.read_text()
+        assert text.endswith("}\n")
+        payload = json.loads(text)
+        assert f"wrote {path}" in capsys.readouterr().out
+        assert main(self.COMMANDS[command] + ["--json", "-"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):]).keys() == payload.keys()

@@ -22,11 +22,11 @@ from repro.core.incremental_spsta import (
     IncrementalSpsta,
     assert_matches_full,
     conditionals_close,
-    fresh_algebra_like,
 )
 from repro.core.inputs import CONFIG_I
 from repro.core.spsta import GridAlgebra, MixtureAlgebra, MomentAlgebra
 from repro.netlist.benchmarks import benchmark_circuit
+from repro.spec import AlgebraSpec
 from repro.stats.mixture import GaussianMixture
 from repro.stats.normal import Normal
 from repro.verify.harness import sweep_grid_for
@@ -314,16 +314,19 @@ class TestValidation:
 
 class TestHelpers:
     def test_fresh_algebra_like_preserves_configuration(self):
-        mixture = MixtureAlgebra(3)
-        clone = fresh_algebra_like(mixture)
-        assert clone is not mixture
-        assert clone.max_components == 3
-        grid_algebra = GridAlgebra(sweep_grid_for(benchmark_circuit("s27")))
-        grid_clone = fresh_algebra_like(grid_algebra)
-        assert grid_clone is not grid_algebra
-        assert grid_clone.grid == grid_algebra.grid
-        assert isinstance(fresh_algebra_like(MomentAlgebra()),
-                          MomentAlgebra)
+        # A full-pass rerun's fresh algebra is the spec round trip: a
+        # new instance of the same type, configured identically.
+        grid = sweep_grid_for(benchmark_circuit("s27"))
+        moment, mixture, grid_algebra = (
+            AlgebraSpec.from_algebra(algebra).build()
+            for algebra in (MomentAlgebra(), MixtureAlgebra(3),
+                            GridAlgebra(grid, conv_method="fft")))
+        assert isinstance(moment, MomentAlgebra)
+        assert isinstance(mixture, MixtureAlgebra)
+        assert mixture.max_components == 3
+        assert isinstance(grid_algebra, GridAlgebra)
+        assert grid_algebra.grid == grid
+        assert grid_algebra.conv_method == "fft"
 
     def test_conditionals_close_normal(self):
         assert conditionals_close(Normal(1.0, 0.1), Normal(1.0, 0.1), 0.0)

@@ -40,7 +40,7 @@ from repro.serve import (
     ServeOptions,
     validate_request,
 )
-from repro.serve.protocol import parse_delay_model, parse_grid
+from repro.spec import SpecError, decode_algebra, decode_delay
 
 BENCH_TINY = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"
 
@@ -196,25 +196,25 @@ class TestProtocol:
         from repro.core.delay import NormalDelay, UnitDelay
         from repro.core.nldm import FrozenDelays
 
-        assert parse_delay_model(None) == UnitDelay()
-        assert parse_delay_model(
+        assert decode_delay(None) == UnitDelay()
+        assert decode_delay(
             {"kind": "normal", "mu": 2.0, "sigma": 0.2}) \
             == NormalDelay(2.0, 0.2)
-        assert parse_delay_model(
+        assert decode_delay(
             {"kind": "frozen", "delays": {"g": 1.5}}) \
             == FrozenDelays({"g": 1.5}, 0.0)
-        with pytest.raises(RequestError):
-            parse_delay_model({"kind": "frozen"})
-        with pytest.raises(RequestError):
-            parse_delay_model({"kind": "quantum"})
+        with pytest.raises(SpecError):
+            decode_delay({"kind": "frozen"})
+        with pytest.raises(SpecError):
+            decode_delay({"kind": "quantum"})
 
     def test_grid_spec(self):
-        grid = parse_grid("-8:60:2048")
+        grid = decode_algebra("grid", "-8:60:2048").time_grid
         assert grid.n == 2048
-        with pytest.raises(RequestError):
-            parse_grid("1:2")
-        with pytest.raises(RequestError):
-            parse_grid("a:b:c")
+        with pytest.raises(SpecError):
+            decode_algebra("grid", "1:2")
+        with pytest.raises(SpecError):
+            decode_algebra("grid", "a:b:c")
 
 
 # -- cold/warm caching -------------------------------------------------------
@@ -246,6 +246,28 @@ class TestCaching:
                  delay={"kind": "normal", "mu": 2.0, "sigma": 0.1})
         assert not any(r["cached"] for r in (a, b, c, d))
         assert len({_payload_text(r) for r in (a, b, c, d)}) == 4
+
+    def test_spellings_of_one_spec_share_session_and_key(self, server):
+        normal = {"kind": "normal", "mu": 1.0, "sigma": 0.1}
+        groups = [
+            # omitted vs explicit defaults (a grid field is ignored by
+            # every algebra but grid)
+            [{}, {"config": "I", "algebra": "moments"},
+             {"grid": "-8:60:2048"}],
+            [{"algebra": "grid"},
+             {"algebra": "grid", "grid": "-8:60:2048"}],
+            # a delay kind without vs with its default parameters, and
+            # the delay object's key order
+            [{"delay": {"kind": "normal"}}, {"delay": normal},
+             {"delay": dict(reversed(list(normal.items())))}],
+        ]
+        for i, group in enumerate(groups):
+            responses = [_req(server, id=i, op="analyze", circuit="s27",
+                              **fields) for fields in group]
+            assert [r["cached"] for r in responses] == \
+                [False] + [True] * (len(group) - 1)
+            assert len({_payload_text(r) for r in responses}) == 1
+            assert len(server._sessions) == i + 1
 
     def test_query_and_analyze_key_separately(self, server):
         _req(server, id=1, op="analyze", circuit="s27")
@@ -384,6 +406,24 @@ class TestRefusals:
                         circuit="no_such_circuit_anywhere")
         assert not response["ok"]
         assert response["error"]["code"] == "unknown-circuit"
+
+    def test_unparseable_bench_file(self, server, tmp_path):
+        path = tmp_path / "bad.bench"
+        path.write_text("INPUT(a)\nOUTPUT(b)\nb = FOO(a)\n")
+        response = _req(server, id=1, op="analyze", circuit=str(path))
+        assert response["error"]["code"] == "unknown-circuit"
+        assert "line 3: unknown gate type 'FOO'" in \
+            response["error"]["message"]
+
+    @pytest.mark.parametrize("options, field", [
+        ({"default_grid": "bogus"}, "grid"),
+        ({"default_config": "III"}, "config"),
+        ({"default_algebra": "tensor"}, "algebra"),
+    ])
+    def test_malformed_default_refused_at_startup(self, options, field):
+        with pytest.raises(SpecError) as info:
+            Server(ServeOptions(**options))
+        assert info.value.field == field
 
     def test_unknown_net_and_gate(self, server):
         q = _req(server, id=1, op="query", circuit="s27", net="NOPE")
