@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 import sys
-from typing import Collection, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.experiments.errors import error_summary, format_error_summary
 from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.table3 import format_table3, run_table3
 from repro.netlist.analysis import circuit_stats, critical_endpoint
-from repro.netlist.bench import parse_bench_file
 from repro.netlist.benchmarks import CircuitLoadError, load_circuit
 from repro.sim.montecarlo import run_monte_carlo
 from repro.sim.parallel import RetryPolicy
@@ -56,6 +55,19 @@ from repro.spec import (
     SpecError,
     decode_spec,
 )
+
+
+def _count_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=`` for an integer count of at least ``minimum``:
+    a value out of range exits 2 with the usage line."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    count.__name__ = "int"     # argparse's "invalid int value" wording
+    return count
 
 
 def _spec(args: argparse.Namespace,
@@ -244,15 +256,23 @@ def _cmd_errors(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     from repro.netlist.bench import write_bench
-    from repro.netlist.verilog import parse_verilog_file, write_verilog
+    from repro.netlist.verilog import (
+        VerilogParseError,
+        parse_verilog_file,
+        write_verilog,
+    )
 
     source = Path(args.source)
     if not source.exists():
         raise SystemExit(f"no such file: {source}")
     if source.suffix == ".bench":
-        netlist = parse_bench_file(source)
+        netlist = load_circuit(args.source)
     elif source.suffix in (".v", ".verilog"):
-        netlist = parse_verilog_file(source)
+        try:
+            netlist = parse_verilog_file(source)
+        except VerilogParseError as exc:
+            raise CircuitLoadError(
+                f"circuit {args.source!r} does not parse: {exc}") from exc
     else:
         raise SystemExit(f"unknown input format: {source.suffix!r} "
                          f"(expected .bench or .v)")
@@ -488,6 +508,12 @@ def _sweep_scenarios(args: argparse.Namespace, stats: InputStats):
             spec = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise SystemExit(f"bad scenario spec {path}: {exc}")
+        if not isinstance(spec, dict):
+            raise SystemExit(f"bad scenario spec {path}: expected a JSON "
+                             f"object, got {type(spec).__name__}")
+        if not isinstance(spec.get("corners", []), list):
+            raise SystemExit(f"bad scenario spec {path}: 'corners' must "
+                             f"be a JSON list")
         if "config" in spec:
             try:
                 stats = decode_spec(spec["config"]).stats
@@ -504,6 +530,9 @@ def _sweep_scenarios(args: argparse.Namespace, stats: InputStats):
                     f"bad corner entry {entry!r} in {path}: {exc}")
         derate = spec.get("derate")
         if derate:
+            if not isinstance(derate, dict):
+                raise SystemExit(f"bad derate entry in {path}: expected a "
+                                 f"JSON object")
             try:
                 corners.extend(derate_corners(
                     float(derate.get("start", 0.8)),
@@ -909,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run all analyzers on a circuit")
     analyze.add_argument("circuit", help="benchmark name or .bench path")
     add_spec_args(analyze)
-    analyze.add_argument("--trials", type=int, default=10_000,
+    analyze.add_argument("--trials", type=_count_at_least(0), default=10_000,
                          help="Monte Carlo trials (0 disables MC)")
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--no-lint", action="store_true",
@@ -1065,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of fuzzed random circuits")
     verify.add_argument("--benches", default="s27,s208",
                         help="comma-separated benchmark names")
-    verify.add_argument("--trials", type=int, default=20_000,
+    verify.add_argument("--trials", type=_count_at_least(1), default=20_000,
                         help="Monte Carlo oracle trials per circuit")
     add_spec_args(verify)
     add_json_arg(verify)

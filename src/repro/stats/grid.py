@@ -14,7 +14,7 @@ the transition occurrence probability.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 import warnings
 
 import numpy as np
@@ -41,6 +41,9 @@ MASS_WARN_FRACTION = 1e-6
 #: build the density: a Gaussian mostly (or entirely) past the grid edge
 #: would be silently renormalized into an edge artifact.
 MASS_ERROR_FRACTION = 0.5
+
+_NON_FINITE = ("density values must be finite (NaN/Inf sentinel: an "
+               "upstream operation diverged)")
 
 
 class MassTruncationWarning(RuntimeWarning):
@@ -371,22 +374,41 @@ def cdf_rows(rows: np.ndarray, dt: float,
 
 
 class GridDensity:
-    """A (sub-)probability density sampled on a :class:`TimeGrid`."""
+    """A (sub-)probability density sampled on a :class:`TimeGrid`.
 
-    __slots__ = ("grid", "values")
+    A density is immutable once built: nothing writes into ``values``, so
+    the scalar :attr:`total_weight` is integrated once and memoized.  Only
+    the scalar is cached; a density retains no derived array.
+    """
+
+    __slots__ = ("grid", "values", "_weight")
 
     def __init__(self, grid: TimeGrid, values: Sequence[float]) -> None:
-        self.grid = grid
         arr = np.asarray(values, dtype=float)
         if arr.shape != (grid.n,):
             raise ValueError(
                 f"values shape {arr.shape} does not match grid size {grid.n}")
-        if not np.isfinite(arr).all():
-            raise ValueError("density values must be finite (NaN/Inf "
-                             "sentinel: an upstream operation diverged)")
-        if np.any(arr < -1e-12):
+        lo, hi = arr.min(), arr.max()     # a NaN propagates through both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(_NON_FINITE)
+        if lo < -1e-12:
             raise ValueError("density values must be non-negative")
+        self.grid = grid
+        # The clip zeroes rounding dips below 0, and its copy keeps a
+        # density from aliasing an array its caller still holds.
         self.values = np.clip(arr, 0.0, None)
+        self._weight: Optional[float] = None
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        # The pickled state is exactly ``(grid, values)``; the memoized
+        # weight is rebuilt lazily after loading.
+        return None, {"grid": self.grid, "values": self.values}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        slots = state[1]
+        self.grid = slots["grid"]
+        self.values = slots["values"]
+        self._weight = None
 
     @classmethod
     def from_normal(cls, grid: TimeGrid, normal: Normal, weight: float = 1.0,
@@ -431,26 +453,41 @@ class GridDensity:
     @classmethod
     def zero(cls, grid: TimeGrid) -> "GridDensity":
         """The empty density (no transition occurs)."""
-        return cls(grid, np.zeros(grid.n))
+        return cls.from_trusted(grid, np.zeros(grid.n))
 
     @classmethod
     def from_trusted(cls, grid: TimeGrid, values: np.ndarray) -> "GridDensity":
         """Wrap an array known to be a valid density (right shape, >= 0).
 
         The batched fast path produces thousands of intermediate arrays from
-        operations that preserve non-negativity, so it skips the per-array
-        validation/clip of ``__init__`` (which profiles as a top cost of the
-        naive sweep).
+        operations that preserve non-negativity, so it skips ``__init__``'s
+        validation and copy; the array must not be written to afterwards.
         """
         density = cls.__new__(cls)
         density.grid = grid
         density.values = values
+        density._weight = None
         return density
+
+    @classmethod
+    def _closed(cls, grid: TimeGrid, values: np.ndarray) -> "GridDensity":
+        """Wrap the fresh result of an operation closed over non-negative
+        densities: it cannot be negative, so of ``__init__``'s checks only
+        the NaN/Inf sentinel remains.  A finite sum proves every value
+        finite; a non-finite one (NaN/Inf, or overflow) gets the exact
+        check."""
+        if not math.isfinite(values.sum()) and not np.isfinite(values).all():
+            raise ValueError(_NON_FINITE)
+        return cls.from_trusted(grid, values)
 
     @property
     def total_weight(self) -> float:
-        """Integral of the density (trapezoid rule)."""
-        return float(trapezoid(self.values, dx=self.grid.dt))
+        """Integral of the density (trapezoid rule), memoized."""
+        weight = self._weight
+        if weight is None:
+            weight = float(trapezoid(self.values, dx=self.grid.dt))
+            self._weight = weight
+        return weight
 
     def cdf_values(self) -> np.ndarray:
         """Cumulative integral on the grid (same shape as ``values``)."""
@@ -482,7 +519,8 @@ class GridDensity:
     def scaled(self, factor: float) -> "GridDensity":
         if factor < 0.0:
             raise ValueError(f"weight factor must be >= 0, got {factor}")
-        return GridDensity(self.grid, self.values * factor)
+        # A factor >= 0 keeps a non-negative density non-negative.
+        return GridDensity._closed(self.grid, self.values * factor)
 
     def normalized(self) -> "GridDensity":
         w = self.total_weight
@@ -493,7 +531,8 @@ class GridDensity:
     def __add__(self, other: "GridDensity") -> "GridDensity":
         """Pointwise WEIGHTED SUM accumulation."""
         self._check_grid(other)
-        return GridDensity(self.grid, self.values + other.values)
+        # A sum of non-negative densities is non-negative.
+        return GridDensity._closed(self.grid, self.values + other.values)
 
     def shifted(self, delay: float, *,
                 ledger: Optional[MassLedger] = None) -> "GridDensity":
@@ -509,7 +548,8 @@ class GridDensity:
                 values[bins:] = self.values[:self.grid.n - bins]
         else:
             values[:bins] = self.values[-bins:]
-        result = GridDensity(self.grid, values)
+        # A zero-filled shift only moves non-negative values.
+        result = GridDensity._closed(self.grid, values)
         if bins != 0:
             before = self.total_weight
             clipped = max(before - result.total_weight, 0.0)
@@ -545,6 +585,7 @@ class GridDensity:
         else:
             kernel = GaussianKernel(self.grid, delay)
         values = convolve_rows(self.values[np.newaxis, :], kernel, method)[0]
+        # Full validation: FFT rounding can dip a value below 0.
         result = GridDensity(self.grid, values)
         before = self.total_weight
         clipped = max(before - result.total_weight, 0.0)
@@ -561,7 +602,8 @@ class GridDensity:
         self._check_grid(other)
         a, b = self.normalized(), other.normalized()
         values = a.values * b.cdf_values() + b.values * a.cdf_values()
-        return GridDensity(self.grid, values)
+        # Densities times CDFs (cumulative sums of them) stay >= 0.
+        return GridDensity._closed(self.grid, values)
 
     def min_with(self, other: "GridDensity") -> "GridDensity":
         """MIN analogue: pdf_min = f1 (1 - F2) + f2 (1 - F1), normalized."""
@@ -569,6 +611,7 @@ class GridDensity:
         a, b = self.normalized(), other.normalized()
         values = (a.values * (1.0 - b.cdf_values())
                   + b.values * (1.0 - a.cdf_values()))
+        # Full validation: a CDF can round past 1, so 1 - F dips below 0.
         return GridDensity(self.grid, values)
 
     def _check_grid(self, other: "GridDensity") -> None:

@@ -261,6 +261,76 @@ class TestCircuitLoading:
         assert message == (f"circuit {str(path)!r} does not parse: "
                            f"line 3: unknown gate type 'FOO': 'b = FOO(a)'")
 
+    def test_convert_unparseable_bench_is_one_line(self, tmp_path):
+        path = tmp_path / "bad.bench"
+        path.write_text(BAD_BENCH)
+        with pytest.raises(SystemExit) as info:
+            main(["convert", str(path), str(tmp_path / "out.v")])
+        assert str(info.value.code) == (
+            f"circuit {str(path)!r} does not parse: "
+            f"line 3: unknown gate type 'FOO': 'b = FOO(a)'")
+        assert not (tmp_path / "out.v").exists()
+
+    def test_convert_unparseable_verilog_is_one_line(self, tmp_path):
+        path = tmp_path / "bad.v"
+        path.write_text("module m(a, b);\n  input a;\n  output b;\n")
+        with pytest.raises(SystemExit) as info:
+            main(["convert", str(path), str(tmp_path / "out.bench")])
+        assert str(info.value.code) == (
+            f"circuit {str(path)!r} does not parse: missing endmodule")
+        assert not (tmp_path / "out.bench").exists()
+
+
+class TestScenarioSpecFile:
+    @pytest.mark.parametrize("text,kind", [("[1]", "list"), ("3", "int"),
+                                           ("null", "NoneType")],
+                             ids=["list", "number", "null"])
+    def test_non_object_spec_is_one_line(self, text, kind, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "s27", "--scenarios", str(path)])
+        assert str(info.value.code) == (
+            f"bad scenario spec {path}: expected a JSON object, got {kind}")
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"corners": 5}, "bad scenario spec {}: 'corners' must be a JSON "
+                         "list"),
+        ({"derate": [1]}, "bad derate entry in {}: expected a JSON object"),
+    ], ids=["corners-number", "derate-list"])
+    def test_wrongly_shaped_key_is_one_line(self, spec, message, tmp_path):
+        import json
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "s27", "--scenarios", str(path)])
+        assert str(info.value.code) == message.format(path)
+
+
+class TestTrialCounts:
+    @pytest.mark.parametrize("argv,message", [
+        (["analyze", "s27", "--trials", "-5"], "must be >= 0, got -5"),
+        (["verify", "--trials", "0"], "must be >= 1, got 0"),
+        (["verify", "--trials", "-3"], "must be >= 1, got -3"),
+        (["verify", "--trials", "x"], "invalid int value: 'x'"),
+    ], ids=["analyze-negative", "verify-zero", "verify-negative",
+            "verify-not-a-number"])
+    def test_out_of_range_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --trials: {message}" in err
+
+    def test_smallest_counts_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["analyze", "s27", "--trials",
+                                  "0"]).trials == 0
+        assert parser.parse_args(["verify", "--trials", "1"]).trials == 1
+        assert parser.parse_args(["verify"]).trials == 20_000
+
 
 class TestStoreOpenErrors:
     @pytest.mark.parametrize("argv", [["hier", "s27"], ["serve"]])
