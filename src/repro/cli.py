@@ -26,9 +26,10 @@ Circuits are named benchmarks (``s27``, ``s208``, ... — see
 from __future__ import annotations
 
 import argparse
+import json
 from pathlib import Path
 import sys
-from typing import Callable, Collection, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Collection, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +71,31 @@ def _count_at_least(minimum: int) -> Callable[[str], int]:
     return count
 
 
+def _period(text: str) -> float:
+    """argparse ``type=`` for a clock period: a value that is not > 0
+    exits 2 with the usage line."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+_period.__name__ = "float"     # argparse's "invalid float value" wording
+
+
+def _read_json_file(path: str, what: str) -> Any:
+    """The parsed content of a JSON input file; a file that cannot be
+    read or does not parse ends the run with one line naming the file
+    and the problem (exit 1)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SystemExit(f"cannot read {what} {path}: "
+                         f"{exc.strerror or exc}")
+    except ValueError as exc:
+        raise SystemExit(f"bad {what} {path}: not JSON ({exc})")
+
+
 def _spec(args: argparse.Namespace,
           algebra: Optional[str] = None) -> AnalysisSpec:
     """The analysis the shared option group names (``--config``, plus
@@ -88,17 +114,9 @@ def _write_json(path: str, text: str) -> None:
         print(f"wrote {path}")
 
 
-class _McFault(NamedTuple):
-    """Fault-tolerance settings decoded from the shared MC CLI flags."""
-
-    retry: Optional[RetryPolicy]
-    deadline: Optional[float]
-    checkpoint: Optional[str]
-    resume: bool
-
-
-def _mc_fault_args(args: argparse.Namespace) -> _McFault:
-    """Fault-tolerance settings for ``run_monte_carlo`` from CLI flags.
+def _mc_retry(args: argparse.Namespace) -> Optional[RetryPolicy]:
+    """Check the shared MC fault-tolerance flags; the retry policy
+    ``--mc-retries`` names, if any.
 
     The retry/checkpoint/deadline features are stream-mode-only (a
     ``--mc-mode waves`` run is one shard that keeps every wave), so using
@@ -117,10 +135,8 @@ def _mc_fault_args(args: argparse.Namespace) -> _McFault:
             f"{', '.join(active)} require(s) --mc-mode stream")
     if args.resume and not args.mc_checkpoint:
         raise SystemExit("--resume requires --mc-checkpoint DIR")
-    retry = (RetryPolicy(max_attempts=args.mc_retries + 1)
-             if args.mc_retries else None)
-    return _McFault(retry=retry, deadline=args.deadline,
-                    checkpoint=args.mc_checkpoint, resume=args.resume)
+    return (RetryPolicy(max_attempts=args.mc_retries + 1)
+            if args.mc_retries else None)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -181,14 +197,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                           profile=spsta_profile)
     mc = None
     if args.trials > 0:
-        fault = _mc_fault_args(args)
         mc = run_monte_carlo(netlist, config, args.trials,
                              rng=np.random.default_rng(args.seed),
                              mode=args.mc_mode, shards=args.shards,
-                             workers=args.workers, retry=fault.retry,
-                             deadline=fault.deadline,
-                             checkpoint=fault.checkpoint,
-                             resume=fault.resume)
+                             workers=args.workers, retry=_mc_retry(args),
+                             deadline=args.deadline,
+                             checkpoint=args.mc_checkpoint,
+                             resume=args.resume)
     for direction in ("rise", "fall"):
         p, mu, sigma = spsta.report(endpoint, direction)
         pair = getattr(ssta.arrivals[endpoint], direction)
@@ -210,12 +225,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    fault = _mc_fault_args(args)
     rows = run_table2(spec.stats, n_trials=args.trials, seed=args.seed,
                       mc_mode=args.mc_mode, shards=args.shards,
-                      workers=args.workers, retry=fault.retry,
-                      deadline=fault.deadline,
-                      checkpoint_dir=fault.checkpoint, resume=fault.resume)
+                      workers=args.workers, retry=_mc_retry(args),
+                      deadline=args.deadline,
+                      checkpoint_dir=args.mc_checkpoint, resume=args.resume)
     print(format_table2(rows, title=f"Table 2, configuration ({spec.config})"))
     print()
     print(format_error_summary(error_summary(rows)))
@@ -232,13 +246,12 @@ def _cmd_table3(args: argparse.Namespace) -> int:
         print(format_config_sweep(rows))
         return 0
     stats = _spec(args).stats
-    fault = _mc_fault_args(args)
     rows = run_table3(stats, n_trials=args.trials, seed=args.seed,
                       mc_mode=args.mc_mode, shards=args.shards,
                       workers=args.workers, engine=args.engine,
-                      profile=args.profile, retry=fault.retry,
-                      deadline=fault.deadline,
-                      checkpoint_dir=fault.checkpoint, resume=fault.resume)
+                      profile=args.profile, retry=_mc_retry(args),
+                      deadline=args.deadline,
+                      checkpoint_dir=args.mc_checkpoint, resume=args.resume)
     print(format_table3(rows))
     return 0
 
@@ -367,8 +380,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    import json
-
     from repro.opt import optimize_spsta
 
     spec = _spec(args)
@@ -492,8 +503,6 @@ def _parse_derate_spec(spec: str):
 def _sweep_scenarios(args: argparse.Namespace, stats: InputStats):
     """Scenario list from ``--scenarios FILE`` or the corner flags; a
     spec file's ``config`` key overrides ``--config``."""
-    import json
-
     from repro.core.corners import Corner
     from repro.core.scenario import (
         derate_corners,
@@ -501,13 +510,8 @@ def _sweep_scenarios(args: argparse.Namespace, stats: InputStats):
     )
 
     if args.scenarios:
-        path = Path(args.scenarios)
-        if not path.exists():
-            raise SystemExit(f"no such scenario spec: {path}")
-        try:
-            spec = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"bad scenario spec {path}: {exc}")
+        path = args.scenarios
+        spec = _read_json_file(path, "scenario spec")
         if not isinstance(spec, dict):
             raise SystemExit(f"bad scenario spec {path}: expected a JSON "
                              f"object, got {type(spec).__name__}")
@@ -558,7 +562,6 @@ def _sweep_scenarios(args: argparse.Namespace, stats: InputStats):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
     import time
 
     from repro.core.scenario import run_scenario_batch, run_scenarios_looped
@@ -626,7 +629,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_hier(args: argparse.Namespace) -> int:
-    import json
     import time
 
     from repro.hier import InterfaceModelStore, run_hier
@@ -737,14 +739,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         LintConfig,
         NetlistError,
         Severity,
-        load_baseline,
+        baseline_keys,
         report_from_error,
         run_lint,
         write_baseline,
     )
 
-    baseline = (load_baseline(args.baseline) if args.baseline
-                else frozenset())
+    try:
+        baseline = (baseline_keys(_read_json_file(args.baseline,
+                                                  "lint baseline"),
+                                  args.baseline)
+                    if args.baseline else frozenset())
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     # lint has --grid (the SP303 coverage prediction) but no --algebra.
     spec = _spec(args, algebra="grid" if args.grid else None)
     try:
@@ -777,8 +784,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    import json
-
     from repro.bounds import compute_bounds
 
     stats = _spec(args).stats
@@ -886,17 +891,17 @@ def build_parser() -> argparse.ArgumentParser:
                          default="waves",
                          help="Monte Carlo engine: retain waves, or stream "
                               "per-net statistics (memory-bounded)")
-        cmd.add_argument("--shards", type=int, default=1,
+        cmd.add_argument("--shards", type=_count_at_least(1), default=1,
                          help="trial shards for --mc-mode stream")
-        cmd.add_argument("--workers", type=int, default=1,
+        cmd.add_argument("--workers", type=_count_at_least(1), default=1,
                          help="processes for --mc-mode stream")
-        cmd.add_argument("--mc-retries", type=int, default=0,
+        cmd.add_argument("--mc-retries", type=_count_at_least(0), default=0,
                          help="per-shard retry attempts after the first "
                               "try, with exponential backoff (stream mode; "
                               "see docs/robustness.md)")
         cmd.add_argument("--mc-checkpoint", metavar="DIR",
                          help="persist each completed shard to DIR "
-                              "(atomic, manifest-keyed; stream mode)")
+                              "(atomic, run-keyed; stream mode)")
         cmd.add_argument("--resume", action="store_true",
                          help="with --mc-checkpoint: skip shards already "
                               "on disk; the merged result is bit-identical "
@@ -944,7 +949,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--no-lint", action="store_true",
                          help="skip the preflight lint (error-level "
                               "diagnostics abort the run)")
-    analyze.add_argument("--partition", type=int, default=0, metavar="N",
+    analyze.add_argument("--partition", type=_count_at_least(0), default=0,
+                         metavar="N",
                          help="run SPSTA hierarchically over N regions "
                               "(repro.hier; see 'spsta hier' for the "
                               "full control surface)")
@@ -952,7 +958,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shorthand for --partition 4")
     add_mc_engine_args(analyze)
     add_spsta_engine_args(analyze)
-    analyze.add_argument("--spsta-workers", type=int, default=1,
+    analyze.add_argument("--spsta-workers", type=_count_at_least(1),
+                         default=1,
                          help="process pool size for the --partition/"
                               "--hier region scheduler")
     analyze.set_defaults(func=_cmd_analyze)
@@ -981,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--grid",
                       help="TimeGrid as START:STOP:N (e.g. -8:60:2048); "
                            "enables the SP303 grid-coverage prediction")
-    lint.add_argument("--clock-period", type=float, default=None,
+    lint.add_argument("--clock-period", type=_period, default=None,
                       help="clock period for the SP404/SP405 bounds "
                            "rules (static yield bounds and the "
                            "non-critical-cone threshold)")
@@ -1003,14 +1010,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     table2 = sub.add_parser("table2", help="regenerate paper Table 2")
     add_spec_args(table2)
-    table2.add_argument("--trials", type=int, default=10_000)
+    table2.add_argument("--trials", type=_count_at_least(1), default=10_000)
     table2.add_argument("--seed", type=int, default=0)
     add_mc_engine_args(table2)
     table2.set_defaults(func=_cmd_table2)
 
     table3 = sub.add_parser("table3", help="regenerate paper Table 3")
     add_spec_args(table3)
-    table3.add_argument("--trials", type=int, default=10_000)
+    table3.add_argument("--trials", type=_count_at_least(1), default=10_000)
     table3.add_argument("--seed", type=int, default=0)
     table3.add_argument("--config-sweep", action="store_true",
                         help="run the CONFIG I/II sweep through the "
@@ -1022,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     errors = sub.add_parser(
         "errors", help="abstract error summary, both configs")
-    errors.add_argument("--trials", type=int, default=10_000)
+    errors.add_argument("--trials", type=_count_at_least(1), default=10_000)
     errors.add_argument("--seed", type=int, default=0)
     errors.set_defaults(func=_cmd_errors)
 
@@ -1057,10 +1064,10 @@ def build_parser() -> argparse.ArgumentParser:
              "interface-model caching")
     hier.add_argument("circuit", help="benchmark name or .bench path")
     add_spec_args(hier, ALGEBRAS)
-    hier.add_argument("--partitions", type=int, default=4,
+    hier.add_argument("--partitions", type=_count_at_least(1), default=4,
                       help="target region count (DFF-boundary cut, "
                            "level-band fallback)")
-    hier.add_argument("--workers", type=int, default=1,
+    hier.add_argument("--workers", type=_count_at_least(1), default=1,
                       help="process pool size for independent regions "
                            "of one wave")
     hier.add_argument("--keep", choices=("interface", "all"),
@@ -1070,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
     hier.add_argument("--cache", metavar="DIR",
                       help="content-addressed interface-model store; "
                            "reruns and isomorphic regions hit the cache")
-    hier.add_argument("--retries", type=int, default=0,
+    hier.add_argument("--retries", type=_count_at_least(0), default=0,
                       help="per-region retry attempts after the first "
                            "try (docs/robustness.md)")
     hier.add_argument("--deadline", type=float, metavar="SECONDS",
@@ -1090,7 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-engine conformance sweep (exit 1 on divergence)")
     verify.add_argument("--seed", type=int, default=0,
                         help="root seed for fuzzed circuits and MC draws")
-    verify.add_argument("--random", type=int, default=3,
+    verify.add_argument("--random", type=_count_at_least(0), default=3,
                         help="number of fuzzed random circuits")
     verify.add_argument("--benches", default="s27,s208",
                         help="comma-separated benchmark names")
@@ -1105,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="SPSTA-in-the-loop gate sizing with incremental re-timing "
              "(docs/optimization.md)")
     optimize.add_argument("circuit")
-    optimize.add_argument("--clock-period", type=float, required=True,
+    optimize.add_argument("--clock-period", type=_period, required=True,
                           help="clock period the metric is evaluated at")
     optimize.add_argument("--metric", choices=("yield", "mean-ksigma"),
                           default="yield",
@@ -1155,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_args(bounds)
     bounds.add_argument("--k-sigma", type=float, default=3.0,
                         help="k for the criticality bounds mu + k*sigma")
-    bounds.add_argument("--clock-period", type=float, default=None,
+    bounds.add_argument("--clock-period", type=_period, default=None,
                         help="also report static yield bounds and the "
                              "certified non-critical set at this clock")
     bounds.add_argument("--max-cone-inputs", type=int, default=10,
@@ -1171,10 +1178,10 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report",
                             help="per-endpoint slack/miss-probability report")
     report.add_argument("circuit")
-    report.add_argument("--clock", type=float, required=True,
+    report.add_argument("--clock", type=_period, required=True,
                         help="clock period")
     add_spec_args(report)
-    report.add_argument("--paths", type=int, default=3,
+    report.add_argument("--paths", type=_count_at_least(1), default=3,
                         help="number of critical paths to print")
     report.add_argument("--endpoints", type=int, default=10,
                         help="endpoints to list (worst first)")
@@ -1193,11 +1200,11 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate",
                               help="generate a synthetic benchmark circuit")
     generate.add_argument("--name", default="synthetic")
-    generate.add_argument("--inputs", type=int, default=8)
-    generate.add_argument("--outputs", type=int, default=8)
+    generate.add_argument("--inputs", type=_count_at_least(1), default=8)
+    generate.add_argument("--outputs", type=_count_at_least(1), default=8)
     generate.add_argument("--dffs", type=int, default=8)
     generate.add_argument("--gates", type=int, default=100)
-    generate.add_argument("--depth", type=int, default=8)
+    generate.add_argument("--depth", type=_count_at_least(1), default=8)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--xor-fraction", type=float, default=0.0)
     generate.add_argument("--output", help=".bench path (default: stdout)")
@@ -1217,7 +1224,7 @@ def build_parser() -> argparse.ArgumentParser:
     slack = sub.add_parser("slack",
                            help="per-net slack and slack histogram")
     slack.add_argument("circuit")
-    slack.add_argument("--clock", type=float, required=True)
+    slack.add_argument("--clock", type=_period, required=True)
     slack.set_defaults(func=_cmd_slack)
 
     serve = sub.add_parser(

@@ -363,10 +363,10 @@ class _OverrideDelays:
         self._overrides = overrides
 
     def fingerprint_payload(self) -> object:
-        """Canonical identity for :func:`repro.sim.checkpoint.
-        delay_fingerprint`: the base model plus the override mapping
-        (hashed in sorted-key order), so two override stacks that apply
-        the same delays fingerprint equally regardless of edit order."""
+        """Identity for :func:`~repro.fingerprint.delay_fingerprint`: the
+        base model plus the override mapping (hashed in sorted-key order),
+        so two override stacks that apply the same delays fingerprint
+        equally regardless of edit order."""
         return (self.base, dict(self._overrides))
 
     def delay(self, gate) -> Normal:

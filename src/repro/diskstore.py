@@ -13,18 +13,18 @@ the same way:
   sees a whole entry or none, and two writers of one key cannot
   interleave (the last rename wins, and both wrote the same
   content-addressed payload).
-- **Checked reads.**  :func:`read_entry` returns ``None`` for a missing
-  file and unlinks a file that fails a check — an unreadable header, a
-  header naming another key, a payload that fails its checksum — so a
-  corrupt entry is a miss, recomputed by the caller, never an error.
+- **Checked reads.**  :func:`check_entry` names the check a file fails
+  — an unreadable header, another key, a bad checksum.
+  :func:`read_entry` returns ``None`` for a missing file and unlinks a
+  failing one, so a corrupt entry is a miss, recomputed by the caller.
 - **A format marker.**  ``manifest.json`` holds only
   ``{"format", "version"}`` (:func:`open_store`).  A version-1 index
   manifest, the shape both stores used before, opens as an empty store;
   anything else is refused, so no store overwrites data it does not
   recognise.
 
-The Monte Carlo checkpoint store (:mod:`repro.sim.checkpoint`) keeps its
-own run-key manifest but writes through :func:`atomic_write_bytes` too.
+Monte Carlo checkpoints (:mod:`repro.sim.checkpoint`) are entries too,
+but cannot be recomputed, so that store raises on a failed check.
 """
 
 from __future__ import annotations
@@ -80,28 +80,43 @@ def write_entry(path: Path, key: str, payload: bytes,
     atomic_write_bytes(path, header + b"\n" + payload)
 
 
-def read_entry(path: Path,
-               key: str) -> Optional[Tuple[Dict[str, Any], bytes]]:
-    """(header, payload) of the entry at ``path``, or None.
+class EntryError(ValueError):
+    """An entry file fails ``check``: "header", "key" or "checksum"."""
 
-    A missing file is None.  A file whose header does not parse, names
-    another key, or whose payload fails the checksum is unlinked and
-    reported as None too."""
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return None
-    head, _, payload = raw.partition(b"\n")
+    def __init__(self, path: Path, check: str) -> None:
+        super().__init__(f"store entry {path} fails its {check} check")
+        self.check = check
+
+
+def check_entry(path: Path, key: str) -> Tuple[Dict[str, Any], bytes]:
+    """(header, payload) of the entry at ``path``; ``OSError`` if it
+    cannot be read, :class:`EntryError` if it fails a check."""
+    head, _, payload = path.read_bytes().partition(b"\n")
     try:
         header = json.loads(head)
     except ValueError:
         header = None
-    if (isinstance(header, dict) and header.get("key") == key
-            and header.get("sha256") == hashlib.sha256(payload).hexdigest()):
-        return header, payload
-    logger.warning("store entry %s is corrupt; dropping it", path)
-    discard(path)
-    return None
+    if not isinstance(header, dict):
+        raise EntryError(path, "header")
+    if header.get("key") != key:
+        raise EntryError(path, "key")
+    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
+        raise EntryError(path, "checksum")
+    return header, payload
+
+
+def read_entry(path: Path,
+               key: str) -> Optional[Tuple[Dict[str, Any], bytes]]:
+    """(header, payload) of the entry at ``path``, or None: for a
+    missing file, and for one that fails a check (it is unlinked)."""
+    try:
+        return check_entry(path, key)
+    except OSError:
+        return None
+    except EntryError:
+        logger.warning("store entry %s is corrupt; dropping it", path)
+        discard(path)
+        return None
 
 
 def read_header(path: Path) -> Optional[Dict[str, Any]]:

@@ -18,9 +18,9 @@ The cache key pins everything the exported TOPs are a pure function of:
 - the algebra configuration and the parity-fan-in cap;
 - which pins the run keeps (``interface`` vs ``all``).
 
-SHA-256 keys follow the PR 5 checkpoint-fingerprint convention
-(:mod:`repro.sim.checkpoint`): collisions are cryptographically
-negligible, so a key hit is a semantic hit.
+SHA-256 keys follow the convention of :mod:`repro.fingerprint`:
+collisions are cryptographically negligible, so a key hit is a
+semantic hit.
 """
 
 from __future__ import annotations

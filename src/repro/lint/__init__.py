@@ -32,8 +32,8 @@ from repro.lint.diagnostics import (
 
 _ENGINE_EXPORTS = (
     "LintConfig", "LintFailure", "LintReport", "RULE_FAMILIES",
-    "SCHEMA_VERSION", "load_baseline", "preflight", "report_from_error",
-    "run_lint", "write_baseline",
+    "SCHEMA_VERSION", "baseline_keys", "load_baseline", "preflight",
+    "report_from_error", "run_lint", "write_baseline",
 )
 
 __all__ = [

@@ -218,7 +218,12 @@ def report_from_error(circuit: str, error: NetlistError,
 
 def load_baseline(path: Union[str, Path]) -> FrozenSet[str]:
     """Read a baseline file: ``{"version": 1, "suppress": ["RULE:loc"]}``."""
-    payload = json.loads(Path(path).read_text())
+    return baseline_keys(json.loads(Path(path).read_text()), path)
+
+
+def baseline_keys(payload: object, path: Union[str, Path]) -> FrozenSet[str]:
+    """The keys a parsed baseline file suppresses (``ValueError`` if
+    it has another shape)."""
     if not isinstance(payload, dict) or "suppress" not in payload:
         raise ValueError(
             f"{path}: not a lint baseline (expected a JSON object with a "

@@ -47,7 +47,7 @@ _MODULE_RE = re.compile(
 _DECL_RE = re.compile(
     rf"(input|output|wire)\s+([^;]+);")
 _INSTANCE_RE = re.compile(
-    rf"({_IDENT})\s+(?:({_IDENT})\s+)?\(([^)]*)\)\s*;")
+    rf"({_IDENT})(?:\s+({_IDENT}))?\s*\(([^)]*)\)\s*;")
 _ASSIGN_RE = re.compile(
     rf"assign\s+({_IDENT})\s*=\s*({_IDENT})\s*;")
 

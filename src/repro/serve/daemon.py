@@ -13,7 +13,7 @@ re-paying full-analysis cost:
   differently share it;
 - a repeated ``analyze``/``query`` is answered from a result cache
   keyed by the **canonical fingerprints** of
-  :mod:`repro.sim.checkpoint` (circuit structure, analysis spec,
+  :mod:`repro.fingerprint` (circuit structure, analysis spec,
   effective delay model, request shape), so identical queries return
   bit-identical payloads without touching the engines;
 - a delay ``edit`` re-times only the dirty fan-out cone via the
@@ -51,6 +51,12 @@ import time
 from typing import IO, Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.incremental_spsta import IncrementalSpsta
+from repro.fingerprint import (
+    circuit_fingerprint,
+    delay_fingerprint,
+    stats_fingerprint,
+    value_fingerprint,
+)
 from repro.lint import LintConfig, NetlistError, Severity, run_lint
 from repro.netlist.bench import BenchParseError, parse_bench
 from repro.netlist.benchmarks import CircuitLoadError, load_circuit
@@ -63,12 +69,6 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
     validate_request,
-)
-from repro.sim.checkpoint import (
-    circuit_fingerprint,
-    delay_fingerprint,
-    stats_fingerprint,
-    value_fingerprint,
 )
 from repro.spec import (
     DEFAULT_ALGEBRA,

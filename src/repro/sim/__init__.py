@@ -17,7 +17,7 @@
   retry (:class:`~repro.sim.parallel.RetryPolicy`) and deadline-bounded
   partial sweeps.
 - :mod:`repro.sim.checkpoint` — crash-safe shard persistence (atomic
-  writes, manifest keyed on seed/circuit/plan) behind ``--resume``.
+  entry files keyed on seed/circuit/plan) behind ``--resume``.
 - :mod:`repro.sim.faults` — deterministic fault injection (crash, hang,
   corrupt, kill-after-N-shards) proving the paths above end to end.
 """
@@ -34,11 +34,6 @@ from repro.sim.checkpoint import (
     CheckpointKey,
     CheckpointMismatchError,
     CheckpointStore,
-    canonical_form,
-    circuit_fingerprint,
-    delay_fingerprint,
-    stats_fingerprint,
-    value_fingerprint,
 )
 from repro.sim.faults import (
     CrashShard,
@@ -90,11 +85,6 @@ __all__ = [
     "CheckpointCorruptError",
     "CheckpointKey",
     "CheckpointStore",
-    "canonical_form",
-    "circuit_fingerprint",
-    "delay_fingerprint",
-    "stats_fingerprint",
-    "value_fingerprint",
     "FaultInjector",
     "CrashShard",
     "HangShard",

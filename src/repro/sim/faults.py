@@ -188,12 +188,11 @@ def corrupt_shard_file(directory: Union[str, Path], index: int,
                        offset: int = 0) -> Path:
     """Flip one byte of a persisted shard payload (checksum-test helper).
 
-    Returns the corrupted path; raises ``FileNotFoundError`` if the shard
-    was never persisted."""
+    ``offset`` counts from the first payload byte, past the entry's
+    header line.  Returns the corrupted path; raises
+    ``FileNotFoundError`` if the shard was never persisted."""
     path = Path(directory) / f"shard_{index:05d}.pkl"
     data = bytearray(path.read_bytes())
-    if not data:
-        raise ValueError(f"shard payload {path} is empty")
-    data[offset] ^= 0xFF
+    data[data.index(b"\n") + 1 + offset] ^= 0xFF
     path.write_bytes(bytes(data))
     return path

@@ -31,6 +31,7 @@ from repro.core.spsta import (
     MomentAlgebra,
     TopAlgebra,
 )
+from repro.fingerprint import value_fingerprint
 from repro.stats.grid import TimeGrid, parse_grid_spec
 
 #: The paper's input-statistics configurations, by label.
@@ -155,8 +156,6 @@ class AnalysisSpec:
     def fingerprint(self) -> str:
         """SHA-256 over the spec's canonical form: equal specs, however
         they were spelled, fingerprint equally."""
-        from repro.sim.checkpoint import value_fingerprint
-
         return value_fingerprint(self)
 
 

@@ -1,5 +1,10 @@
 """Tests for repro.cli — the ``spsta`` command-line interface."""
 
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -341,6 +346,53 @@ class TestStoreOpenErrors:
         message = str(info.value.code)
         assert message.startswith("--cache: ") and "\n" not in message
         assert "refusing to use the directory as a cache" in message
+
+
+class TestOneLineExits:
+    """An out-of-range number exits 2 with the usage line; an input file
+    that cannot be read or is not JSON of the right shape exits 1 with
+    one line naming it.  Neither prints a traceback."""
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["hier", "s27", "--partitions", "0"], 2,
+         "argument --partitions: must be >= 1, got 0"),
+        (["optimize", "s27", "--clock-period", "-5"], 2,
+         "argument --clock-period: must be > 0, got -5"),
+        (["lint", "s27", "--baseline", "{missing}"], 1,
+         "cannot read lint baseline {missing}: No such file or directory"),
+        (["lint", "s27", "--baseline", "{garbage}"], 1,
+         "bad lint baseline {garbage}: not JSON ("),
+        (["lint", "s27", "--baseline", "{array}"], 1,
+         "{array}: not a lint baseline"),
+        (["sweep", "s27", "--scenarios", "{missing}"], 1,
+         "cannot read scenario spec {missing}: No such file or directory"),
+        (["sweep", "s27", "--scenarios", "{garbage}"], 1,
+         "bad scenario spec {garbage}: not JSON ("),
+    ], ids=["hier-partitions", "optimize-clock-period", "baseline-missing",
+            "baseline-not-json", "baseline-shape", "scenarios-missing",
+            "scenarios-not-json"])
+    def test_one_line_exit(self, argv, code, message, tmp_path):
+        files = {name: tmp_path / f"{name}.json"
+                 for name in ("missing", "garbage", "array")}
+        files["garbage"].write_text("{not json")
+        files["array"].write_text("[1]")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro",
+             *(arg.format(**files) for arg in argv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        if code == 2:
+            assert lines[0].startswith("usage: ")
+            errors = [line for line in lines if ": error: " in line]
+            assert errors == [lines[-1]]
+            assert lines[-1].endswith(message)
+        else:
+            assert len(lines) == 1
+            assert lines[0].startswith(message.format(**files))
 
 
 class TestJsonWriter:

@@ -9,6 +9,9 @@ must be **bit-identical** to an uninterrupted one.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import os
 from pathlib import Path
 import subprocess
@@ -257,6 +260,54 @@ class TestCheckpointResume:
     def test_resume_requires_checkpoint(self):
         with pytest.raises(ValueError):
             _mc(resume=True)
+
+    def test_marker_is_written_once(self, tmp_path):
+        directory = tmp_path / "ck"
+        CheckpointStore(directory, _key()).open(resume=False)
+        marker = directory / "manifest.json"
+        before = marker.read_bytes(), marker.stat().st_ino
+        _mc(checkpoint=directory)
+        assert (marker.read_bytes(), marker.stat().st_ino) == before
+
+    def test_shard_of_another_run_rejected_and_kept(self, tmp_path):
+        directory, other = tmp_path / "ck", tmp_path / "other"
+        _mc(seed=7, checkpoint=directory)
+        _mc(seed=8, checkpoint=other)
+        foreign = (other / "shard_00001.pkl").read_bytes()
+        (directory / "shard_00001.pkl").write_bytes(foreign)
+        with pytest.raises(CheckpointMismatchError, match="shard_00001"):
+            _mc(seed=7, checkpoint=directory, resume=True)
+        assert (directory / "shard_00001.pkl").read_bytes() == foreign
+
+    @pytest.mark.parametrize("resume", [True, False])
+    def test_version_1_directory_refused_untouched(self, tmp_path,
+                                                   resume):
+        directory = tmp_path / "ck"
+        directory.mkdir()
+        payload = b"v1 shard payload"
+        (directory / "shard_00000.pkl").write_bytes(payload)
+        (directory / "manifest.json").write_text(json.dumps({
+            "format": "spsta-mc-checkpoint", "version": 1,
+            "key": dataclasses.asdict(_key()),
+            "shards": {"0": {"file": "shard_00000.pkl",
+                             "n_trials": TRIALS // SHARDS,
+                             "sha256": hashlib.sha256(payload)
+                             .hexdigest()}}}))
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        with pytest.raises(CheckpointCorruptError, match="version-1"):
+            _mc(checkpoint=directory, resume=resume)
+        assert {p.name: p.read_bytes()
+                for p in directory.iterdir()} == before
+
+    def test_fresh_run_discards_earlier_shards(self, tmp_path):
+        directory = tmp_path / "ck"
+        _mc(checkpoint=directory)
+        with pytest.raises(TransientShardError):
+            _mc(checkpoint=directory,
+                fault_injector=FaultInjector(CrashShard(index=1,
+                                                        times=None)))
+        assert sorted(p.name for p in directory.glob("shard_*")) == [
+            "shard_00000.pkl"]
 
 
 def _key():

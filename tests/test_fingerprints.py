@@ -31,15 +31,16 @@ from repro.core.incremental_spsta import IncrementalSpsta
 from repro.core.inputs import CONFIG_I, CONFIG_II
 from repro.core.nldm import FrozenDelays
 from repro.core.spsta import MomentAlgebra
-from repro.netlist.benchmarks import benchmark_circuit
-from repro.opt.spsta_opt import SizedNormalDelay
-from repro.sim.checkpoint import (
+from repro.fingerprint import (
     canonical_form,
     delay_fingerprint,
     stats_fingerprint,
     value_fingerprint,
 )
+from repro.netlist.benchmarks import benchmark_circuit
+from repro.opt.spsta_opt import SizedNormalDelay
 from repro.sim.montecarlo import run_monte_carlo
+from repro.spec import decode_spec
 from repro.stats.normal import Normal
 
 GATES = ("G1", "G2", "G3", "a", "b", "zz")
@@ -183,7 +184,7 @@ import json, sys
 from repro.core.delay import NormalDelay
 from repro.core.nldm import FrozenDelays
 from repro.core.inputs import CONFIG_I, CONFIG_II
-from repro.sim.checkpoint import delay_fingerprint, stats_fingerprint
+from repro.fingerprint import delay_fingerprint, stats_fingerprint
 spec = json.loads(sys.stdin.read())
 print(json.dumps({
     "frozen": delay_fingerprint(
@@ -216,6 +217,21 @@ class TestProcessRestartStability:
         assert first["stats"] == stats_fingerprint(
             {"b": CONFIG_II, "a": CONFIG_I})
 
+
+class TestPinnedValues:
+    def test_serve_cache_key_parts_are_pinned(self):
+        """Literal prints of the values serve cache keys are built from:
+        a changed print would turn every disk entry an earlier daemon
+        wrote into a miss."""
+        frozen = FrozenDelays({"G1": 1.0, "G2": 2.5}, relative_sigma=0.1)
+        assert stats_fingerprint(CONFIG_I) == (
+            "0e9b144abefe51835901c60bbd93cd77eefdacd7124ba1b84ca009b43e4fc880")
+        assert delay_fingerprint(UnitDelay()) == (
+            "96be2361bfcf378ebd962f6b80e8942ddbd36a1bd9315a17912db22c433c6a94")
+        assert delay_fingerprint(frozen) == (
+            "c470b7fd242ece6044cf74db58a242159d8117aae598fbc93be7d26a92b6746a")
+        assert decode_spec("I", "grid", None, None).fingerprint() == (
+            "dd10e4a92c99e2ce11eddf33854879f08826b4881e27b5255aa45b18e05cd901")
 
 # -- the end-to-end symptom: checkpoint --resume ------------------------------
 

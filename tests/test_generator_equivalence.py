@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.fingerprint import circuit_fingerprint
+from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.generator import (
     GeneratorProfile,
     TiledProfile,
     generate_circuit,
     generate_tiled_circuit,
 )
-from repro.netlist.benchmarks import benchmark_circuit
-from repro.sim.checkpoint import circuit_fingerprint
 
 # Captured from the pre-refactor (per-gate-scan) generator.  s27 is
 # parsed from a .bench file, not generated, and is deliberately absent.

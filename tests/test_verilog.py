@@ -99,6 +99,26 @@ class TestParsing:
                   latch L (y, a);
                 endmodule""")
 
+    @pytest.mark.parametrize("cell,expected", [
+        ("nand", None),
+        ("foo", "unsupported primitive or submodule 'foo'"),
+    ], ids=["primitive", "unknown-cell"])
+    def test_instance_name_touching_its_ports(self, cell, expected):
+        """``nand g1(b, a);`` (no space before the port list) is an
+        instance like any other, not text to skip."""
+        text = f"""
+            module m (a, b);
+              input a; output b;
+              {cell} g1(b, a);
+            endmodule"""
+        if expected is not None:
+            with pytest.raises(VerilogParseError, match=expected):
+                parse_verilog(text)
+            return
+        net = parse_verilog(text)
+        assert net.gates["b"].gate_type is GateType.NAND
+        assert net.gates["b"].inputs == ("a",)
+
     def test_semantic_errors_wrapped(self):
         with pytest.raises(VerilogParseError, match="undriven"):
             parse_verilog("""
