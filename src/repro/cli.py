@@ -304,6 +304,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.netlist.bench import write_bench
     from repro.netlist.generator import GeneratorProfile, generate_circuit
 
+    if args.gates < args.depth:
+        args.parser.error(f"argument --gates: must be >= --depth "
+                          f"({args.depth}), got {args.gates}")
     profile = GeneratorProfile(
         name=args.name, n_inputs=args.inputs, n_outputs=args.outputs,
         n_dffs=args.dffs, n_gates=args.gates, depth=args.depth,
@@ -1132,7 +1135,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--delay-sigma", type=float, default=0.1,
                           help="unsized gate delay sigma (scales 1/size)")
     add_spec_args(optimize, ("moments", "mixture"))
-    optimize.add_argument("--max-iterations", type=int, default=60,
+    optimize.add_argument("--max-iterations", type=_count_at_least(0),
+                          default=60,
                           help="greedy move budget")
     optimize.add_argument("--anneal", action="store_true",
                           help="refine with a simulated-annealing schedule")
@@ -1170,7 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "of reconvergent cones")
     bounds.add_argument("--max-bdd-nodes", type=int, default=100_000,
                         help="shared node budget for all cone collapses")
-    bounds.add_argument("--endpoints", type=int, default=5,
+    bounds.add_argument("--endpoints", type=_count_at_least(0), default=5,
                         help="endpoints to list (widest bound first)")
     add_json_arg(bounds)
     bounds.set_defaults(func=_cmd_bounds)
@@ -1183,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_args(report)
     report.add_argument("--paths", type=_count_at_least(1), default=3,
                         help="number of critical paths to print")
-    report.add_argument("--endpoints", type=int, default=10,
+    report.add_argument("--endpoints", type=_count_at_least(0), default=10,
                         help="endpoints to list (worst first)")
     report.set_defaults(func=_cmd_report)
 
@@ -1208,14 +1212,14 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--xor-fraction", type=float, default=0.0)
     generate.add_argument("--output", help=".bench path (default: stdout)")
-    generate.set_defaults(func=_cmd_generate)
+    generate.set_defaults(func=_cmd_generate, parser=generate)
 
     testability = sub.add_parser(
         "testability", help="COP testability and optional BDD ATPG")
     testability.add_argument("circuit")
     testability.add_argument("--probability", type=float, default=0.5,
                              help="launch-point P(1)")
-    testability.add_argument("--top", type=int, default=8,
+    testability.add_argument("--top", type=_count_at_least(0), default=8,
                              help="hardest faults to list")
     testability.add_argument("--atpg", action="store_true",
                              help="also build a deterministic test set")

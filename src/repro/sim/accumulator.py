@@ -18,9 +18,10 @@ direct numpy computation over the kept waves *bit for bit* —
 ``count / n_trials``, ``times.mean()`` and ``times.std()`` over the
 compacted (boolean-indexed) arrival times, ``(init + final).mean() / 2``
 and ``(init != final).mean()``.  That pins the exact numpy reductions used
-here — ``times.mean()`` and ``sum((t - mean)**2)`` over the compacted
-time array, matching ``numpy.std``'s two-pass algorithm — and is enforced
-by the differential tests in ``tests/test_sim_stream.py``.
+here — the pairwise ``np.add.reduce`` beneath ``times.mean()``, and
+``sum((t - mean)**2)`` over the compacted time array, matching
+``numpy.std``'s two-pass algorithm — and is enforced by the differential
+tests in ``tests/test_sim_stream.py``.
 """
 
 from __future__ import annotations
@@ -66,16 +67,19 @@ class DirectionMoments:
 
         Mirrors ``times.mean()`` / ``times.std()`` exactly: numpy's
         pairwise-summed mean, then the centered two-pass sum of squares.
+        Both call ``np.add.reduce`` directly, the reduction ``mean()`` and
+        ``sum()`` run beneath their Python wrappers, so the bits match.
         ``overwrite=True`` lets the centering clobber ``times`` (the
         streaming engine passes scratch views); the result is unchanged.
         """
         count = int(times.size)
         if count == 0:
             return cls()
-        mean = times.mean()
+        mean = np.add.reduce(times) / count
         centered = (np.subtract(times, mean, out=times) if overwrite
                     else times - mean)
-        m2 = float(np.multiply(centered, centered, out=centered).sum())
+        m2 = float(np.add.reduce(np.multiply(centered, centered,
+                                             out=centered)))
         return cls(count=count, mean=float(mean), m2=m2)
 
     @property
@@ -145,7 +149,7 @@ class NetAccumulator:
                 return DirectionMoments()
             if time_scratch is None:
                 return DirectionMoments.from_times(time[mask])
-            picked = np.compress(mask, time, out=time_scratch[:count])
+            picked = time.compress(mask, out=time_scratch[:count])
             return DirectionMoments.from_times(picked, overwrite=True)
 
         return cls(n_trials=int(init.shape[0]), n_one=n_one,

@@ -9,12 +9,12 @@ per directory.  Writes are atomic, so a kill never leaves a half-written
 shard, and resuming is a directory listing.
 
 The key pins everything the merged statistics depend on — root seed,
-circuit structure, input statistics, delay model, trial budget, and
-shard plan — so a resume against another run, or a shard written by
-one, raises :class:`CheckpointMismatchError` and is never merged.  A
-damaged shard or a version-1 directory (one manifest listing every
-shard) raises :class:`CheckpointCorruptError`.  Unlike the caches, the
-store never deletes a file it cannot trust.
+circuit structure, input statistics, delay model, trial budget, shard
+plan, and the delay draw rule — so a resume against another run, or a
+shard written by one, raises :class:`CheckpointMismatchError` and is
+never merged.  A damaged shard or a version-1 directory (one manifest
+listing every shard) raises :class:`CheckpointCorruptError`.  Unlike the
+caches, the store never deletes a file it cannot trust.
 
 Because each shard's trial stream depends only on (root seed, shard
 index) and the merge is a fixed-order left fold, a run resumed from any
@@ -58,6 +58,12 @@ MANIFEST_FORMAT = "spsta-mc-checkpoint"
 MANIFEST_VERSION = 2
 SHARD_GLOB = "shard_*.pkl"
 
+#: Version of the Monte Carlo delay draw rule: which normals a shard
+#: draws from its seed.  Rule 1 drew one per gate per trial; rule 2 draws
+#: one per switching trial.  Shards drawn under another rule hold another
+#: random stream, so they never merge into a "bit-exact" resume.
+DRAW_RULE = 2
+
 #: One loaded shard: its accumulator dict and its execution report.
 ShardCheckpoint = Tuple[Dict[str, NetAccumulator], ShardReport]
 
@@ -68,7 +74,7 @@ class CheckpointError(RuntimeError):
 
 class CheckpointMismatchError(CheckpointError):
     """The directory holds checkpoints of a *different* run (seed,
-    circuit, configuration, or shard plan differ)."""
+    circuit, configuration, shard plan, or draw rule differ)."""
 
 
 class CheckpointCorruptError(CheckpointError):
@@ -87,6 +93,7 @@ class CheckpointKey:
     shards: int
     stats_hash: str
     delay_hash: str
+    draw_rule: int = DRAW_RULE
 
     @classmethod
     def build(cls, netlist: Netlist,

@@ -12,8 +12,11 @@ All trials propagate simultaneously as numpy arrays.  Per-gate-family rules
 - Glitches are filtered by initial/final evaluation, matching the paper's
   "we do not count glitch" (Sec. 4).
 
-Gate delays come from the :class:`~repro.core.delay.DelayModel`; a non-zero
-delay sigma draws an independent Gaussian delay per gate per trial.
+Gate delays come from the :class:`~repro.core.delay.DelayModel`.  Each
+gate is evaluated at its mean delay; a non-zero delay sigma then adds an
+independent Gaussian deviation on the trials where the gate's output
+switches, the only trials a delay can move (:func:`_draw_delays`).  A
+sigma-0 model draws nothing.
 
 One gate kernel (:func:`_stream_gate`) runs every trial, and every run
 returns a :class:`StreamResult`.  Each wave is folded into O(1)-per-net
@@ -135,41 +138,37 @@ def run_monte_carlo(netlist: Netlist,
                        checkpoint, resume, fault_injector)
 
 
-def _delay_draw(delay_model: DelayModel, gate: Gate,
-                operands: Sequence[LaunchSample], n_trials: int,
-                rng: np.random.Generator, mis_aware: bool
-                ) -> Union[float, np.ndarray]:
-    """Per-gate delay (scalar) or per-trial delay draw (array), drawn in
-    gate order so identical rngs consume identical streams."""
-    if mis_aware:
-        return _mis_delay_draw(delay_model, gate, operands, n_trials, rng)
-    delay = delay_model.delay(gate)
-    if delay.sigma > 0.0:
-        return rng.normal(delay.mu, delay.sigma, size=n_trials)
-    return delay.mu
+def _draw_delays(delay_model: DelayModel, gate: Gate, sigma: float,
+                 operands: Sequence[LaunchSample], time: np.ndarray,
+                 rise: np.ndarray, fall: np.ndarray,
+                 rng: np.random.Generator, mis_aware: bool) -> None:
+    """Add ``gate``'s random delay to ``time`` on its switching trials.
 
-
-def _mis_delay_draw(delay_model: DelayModel, gate: Gate,
-                    operands: Sequence[LaunchSample], n_trials: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Per-trial delays for a MIS-aware model: each trial's delay depends
-    on how many of the gate's inputs switch simultaneously in that trial
-    (matching SPSTA's per-subset delays exactly)."""
-    switching = np.zeros(n_trials, dtype=np.int64)
+    A delay only moves a trial whose output switches, so only those
+    trials draw: one standard normal each, in gate order, so identical
+    rngs consume identical streams.  The kernel already added the mean
+    delay of a plain model, which leaves ``sigma * z``; a sigma-0 model
+    draws nothing.  A MIS-aware model's kernel ran at delay 0, and each
+    trial gets ``mu_k + sigma_k * z`` for its count k of switching inputs
+    (k >= 1 wherever the output switches), matching SPSTA's per-subset
+    delays exactly.
+    """
+    if not mis_aware and sigma == 0.0:
+        return
+    trials = np.flatnonzero(rise | fall)
+    if not mis_aware:
+        time[trials] += sigma * rng.standard_normal(trials.size)
+        return
+    ks = np.zeros(trials.size, dtype=np.intp)
     for o in operands:
-        switching += o.init != o.final
-    ks = np.clip(switching, 1, None)
-    per_k = {k: delay_model.delay_mis(gate, int(k))
-             for k in np.unique(ks)}
-    mus = np.empty(n_trials)
-    sigmas = np.zeros(n_trials)
-    for k, d in per_k.items():
-        mask = ks == k
-        mus[mask] = d.mu
-        sigmas[mask] = d.sigma
+        ks += o.init[trials] != o.final[trials]
+    per_k = [delay_model.delay_mis(gate, k)  # type: ignore[attr-defined]
+             for k in range(1, len(operands) + 1)]
+    delays = np.array([d.mu for d in per_k])[ks - 1]
+    sigmas = np.array([d.sigma for d in per_k])[ks - 1]
     if np.any(sigmas > 0.0):
-        return mus + sigmas * rng.standard_normal(n_trials)
-    return mus
+        delays += sigmas * rng.standard_normal(trials.size)
+    time[trials] += delays
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +302,7 @@ class _BufferPool:
 
 
 def _stream_gate(gate_type: GateType, operands: Sequence[LaunchSample],
-                 delay: Union[float, np.ndarray], pool: _BufferPool,
+                 delay: float, pool: _BufferPool,
                  rise_out: np.ndarray, fall_out: np.ndarray,
                  tmp_bool: np.ndarray
                  ) -> Tuple[LaunchSample, np.ndarray, np.ndarray]:
@@ -441,11 +440,12 @@ def _stream_shard(netlist: Netlist,
     mis_aware = hasattr(delay_model, "delay_mis")
     for gate in netlist.combinational_gates:
         operands = [waves[src] for src in gate.inputs]
-        delay = _delay_draw(delay_model, gate, operands, n_trials, rng,
-                            mis_aware)
-        wave, rise, fall = _stream_gate(gate.gate_type, operands, delay,
-                                        pool, rise_scratch, fall_scratch,
-                                        tmp_bool)
+        delay = delay_model.delay(gate)
+        wave, rise, fall = _stream_gate(
+            gate.gate_type, operands, 0.0 if mis_aware else delay.mu, pool,
+            rise_scratch, fall_scratch, tmp_bool)
+        _draw_delays(delay_model, gate, delay.sigma, operands, wave.time,
+                     rise, fall, rng, mis_aware)
         meter.allocated(wave.init, wave.final, wave.time)
         accumulators[gate.name] = NetAccumulator.from_arrays(
             wave.init, wave.final, wave.time, rise, fall, time_scratch)

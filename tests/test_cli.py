@@ -368,9 +368,11 @@ class TestOneLineExits:
          "cannot read scenario spec {missing}: No such file or directory"),
         (["sweep", "s27", "--scenarios", "{garbage}"], 1,
          "bad scenario spec {garbage}: not JSON ("),
+        (["generate", "--gates", "0"], 2,
+         "argument --gates: must be >= --depth (8), got 0"),
     ], ids=["hier-partitions", "optimize-clock-period", "baseline-missing",
             "baseline-not-json", "baseline-shape", "scenarios-missing",
-            "scenarios-not-json"])
+            "scenarios-not-json", "generate-gates-below-depth"])
     def test_one_line_exit(self, argv, code, message, tmp_path):
         files = {name: tmp_path / f"{name}.json"
                  for name in ("missing", "garbage", "array")}
@@ -393,6 +395,26 @@ class TestOneLineExits:
         else:
             assert len(lines) == 1
             assert lines[0].startswith(message.format(**files))
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "s27", "--endpoints", "-1"],
+        ["report", "s27", "--clock", "5", "--endpoints", "-1"],
+        ["testability", "s27", "--top", "-1"],
+        ["optimize", "s27", "--clock-period", "5", "--max-iterations", "-1"],
+    ], ids=["bounds-endpoints", "report-endpoints", "testability-top",
+            "optimize-max-iterations"])
+    def test_negative_count_is_a_usage_exit(self, argv, capsys):
+        """A negative count exits 2 before any analysis runs, where it
+        used to run: ``bounds --endpoints -1`` sliced ``ranked[:-1]`` and
+        silently dropped the last endpoint.  Zero keeps its meaning."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: ")
+        assert lines[-1].endswith(
+            f"argument {argv[-2]}: must be >= 0, got -1")
+        assert main([*argv[:-1], "0"]) == 0
 
 
 class TestJsonWriter:
